@@ -86,11 +86,7 @@ from repro.artifacts import ArtifactStore
 from repro.artifacts.keys import code_fingerprint
 from repro.capture.generator import CaptureConfig
 from repro.experiments.context import ExperimentContext
-from repro.flags import (
-    set_chunk_size,
-    set_columnar_enabled,
-    set_streaming_enabled,
-)
+from repro.flags import set_chunk_size, set_columnar_enabled
 from repro.obs import Observability
 from repro.sim import fork_pool_available, set_rng_observer
 from repro.world import World, WorldConfig
@@ -229,19 +225,15 @@ def run_once(
     digests (and the run's :class:`~repro.obs.Observability` plane).
 
     ``columnar=False`` forces the scalar reference paths and
-    ``streaming=False`` the batch data plane for the whole run —
-    outputs must be bit-identical any way around.  A live event sink
-    forces batch regardless (forked chunk/shard workers cannot stream
-    probe events), which is what keeps the observability-smoke CI job
-    on the byte-identical batch paths."""
+    ``streaming=False`` the batch data plane (a fully built world) for
+    the whole run — outputs must be bit-identical any way around.  A
+    live event sink changes neither: the streaming paths produce the
+    batch event log byte for byte."""
     obs = Observability.collecting(events=collect_events)
     tracer = obs.tracer
     previous_observer = obs.install_rng_counter()
     previous_columnar = set_columnar_enabled(columnar)
-    previous_streaming = set_streaming_enabled(streaming)
-    use_stream = (
-        streaming and fork_pool_available() and not collect_events
-    )
+    use_stream = streaming and fork_pool_available()
     config = WorldConfig(
         seed=seed, num_domains=domains,
         capture=capture if capture is not None else CaptureConfig(),
@@ -278,7 +270,6 @@ def run_once(
         with stage("traceroute"):
             isp = wan.isp_diversity()
     finally:
-        set_streaming_enabled(previous_streaming)
         set_columnar_enabled(previous_columnar)
         set_rng_observer(previous_observer)
 

@@ -128,9 +128,9 @@ class DatasetBuilder:
         self.scenario = scenario
         #: Observability plane: ``dataset-step`` spans around the four
         #: pipeline phases, campaign spans via the engine, and — when
-        #: the sink is live — probe-level events that the sharded build
-        #: merges back phase-major (see :mod:`repro.analysis.shards`),
-        #: byte-identically to a sequential build.
+        #: the sink is live — probe-level events that the fan-out build
+        #: merges back phase-major (see :mod:`repro.analysis.streambuild`),
+        #: byte-identically to the in-process build.
         self.obs = obs
         self.ranges = world.published_ranges()
         labelled = (
@@ -141,8 +141,8 @@ class DatasetBuilder:
             keep = max(1, int(len(labelled) * range_coverage))
             labelled = labelled[:keep]
         self._cloud_membership = PrefixSet(labelled)
-        #: Shard-build hook: a ``ShardRecorder`` tagging digs whose
-        #: rotation state crosses shard boundaries (None when sequential).
+        #: Fan-out hook: a ``ShardRecorder`` tagging digs whose
+        #: rotation state crosses slice boundaries (None in-process).
         self._recorder = None
 
     def _engine(self) -> CampaignEngine:
@@ -244,20 +244,14 @@ class DatasetBuilder:
         caches and advance rotation counters, so they cannot move),
         then classifies every answered address in one batched
         ``searchsorted`` per range table instead of two bisects per
-        address.  Unavailable (None) when the columnar plane is off or
-        NumPy is absent.
+        address.  Unavailable (None) when the columnar plane is off.
         """
         if not columnar_runtime_enabled():
             return None
-        try:
-            import numpy as np
+        import numpy as np
 
-            from repro.columnar.dataset import (
-                prefix_membership,
-                segment_any,
-            )
-        except ImportError:
-            return None
+        from repro.columnar.dataset import prefix_membership, segment_any
+
         vantage = self.world.dns_vantages()[0]
         resolver = self.world.resolver_for(vantage)
         recorder = self._recorder
@@ -480,12 +474,12 @@ class DatasetBuilder:
 
         Walks the per-record NS lists in order, resolving each hostname
         the first time it appears with the paper's flush-and-fresh
-        discipline.  Sharded builds run this on the parent only: the
-        dedup set is global, so splitting it would re-pay (and
-        re-side-effect) duplicate hostname resolutions per shard.  The
-        chunked build passes ``into`` to resolve incrementally — one
-        chunk's lists at a time against the accumulated dedup set,
-        which visits hostnames in the same global first-seen order.
+        discipline.  The fan-out build runs this on the parent only:
+        the dedup set is global, so splitting it would re-pay (and
+        re-side-effect) duplicate hostname resolutions per slice.  It
+        passes ``into`` to resolve incrementally — one group's lists at
+        a time against the accumulated dedup set, which visits
+        hostnames in the same global first-seen order.
         """
         vantages = self.world.dns_vantages()
         survey_vantages = vantages[: min(10, len(vantages))]
@@ -515,52 +509,40 @@ class DatasetBuilder:
 
     # -- putting it together -----------------------------------------------------------
 
-    def can_shard(self, workers: int) -> bool:
-        """Whether a ``workers``-way sharded build is available.
+    def fans_out(self, workers: int) -> bool:
+        """Whether :meth:`build` runs the forked fan-out driver.
 
-        Sharding requires fork-based pools and full published-range
+        The fan-out needs fork-based pools and full published-range
         coverage: below 1.0 a subdomain's cloud classification can
         depend on *which* rotated answer a query index returns, so the
         filter's control flow would no longer be counter-independent
-        and the shard merge could not replay it.
+        and the merge could not replay it.  Given both, a deferred
+        world always fans out (its tenants are deployed and released
+        chunk by chunk), and a fully built one does when ``workers > 1``.
         """
         return (
-            workers > 1
-            and len(self.world.alexa.sites) > 1
+            fork_pool_available()
             and self.range_coverage >= 1.0
-            and fork_pool_available()
+            and (self.world.pending_tenants or workers > 1)
         )
 
     def build(self, workers: int = 0) -> AlexaSubdomainsDataset:
         """Run the full §2.1 pipeline.
 
-        With ``workers > 1`` (where :meth:`can_shard` allows) the ranked
-        domain list is partitioned into contiguous shards built in
-        forked worker processes and merged back in rank order; the
-        result — records, discovered map, NS addresses, query counters,
-        resolver caches — is bit-identical to ``workers=0``.
-
-        A world built with ``defer_tenants=True`` takes the
-        constant-memory chunked path instead (deploy → measure →
-        release, one rank window at a time); when that path is
-        ineligible — streaming switched off, no fork support, partial
-        range coverage, an outage scenario, or a live event sink — the
-        world catches up to a batch-equivalent state and the normal
-        paths run.
+        Where :meth:`fans_out` allows, the ranked domain list is cut
+        into contiguous rank slices built in forked worker processes
+        and merged back in rank order
+        (:func:`repro.analysis.streambuild.build_fanout`); records, NS
+        addresses, query counters, the event log and the deterministic
+        metrics are bit-identical to the in-process build.  Otherwise
+        the pipeline runs in-process, after a deferred world catches up
+        to a batch-equivalent state.
         """
-        if getattr(self.world, "pending_tenants", False):
-            from repro.analysis.streambuild import (
-                build_chunked,
-                chunked_build_eligible,
-            )
+        if self.fans_out(workers):
+            from repro.analysis.streambuild import build_fanout
 
-            if chunked_build_eligible(self):
-                return build_chunked(self, workers)
-            self.world.catch_up_tenants()
-        if self.can_shard(workers):
-            from repro.analysis.shards import build_sharded
-
-            return build_sharded(self, workers)
+            return build_fanout(self, workers)
+        self.world.catch_up_tenants()
         tracer = self.obs.tracer
         with tracer.span("enumerate", category="dataset-step"):
             discovered, total = self.discover_subdomains()

@@ -1,57 +1,61 @@
-"""Sharded, bit-identical §2.1 dataset builds.
+"""Slice workers and the rotation replay behind the forked §2.1 build.
 
-The ranked domain list is partitioned into contiguous shards, and each
-shard runs the full enumerate → filter → distributed-lookups → NS-dig
-pipeline in a forked worker process against a copy-on-write view of the
-world (the same worker discipline as the parallel WAN campaign: nothing
-heavy is pickled, closures never cross the process boundary).
+The fan-out driver (:func:`repro.analysis.streambuild.build_fanout`)
+cuts the ranked domain list into contiguous rank slices; each slice
+runs the full enumerate → filter → distributed-lookups → NS-dig
+pipeline in a forked worker (:func:`_build_shard`) against a
+copy-on-write view of the world (the same worker discipline as the
+parallel WAN campaign: nothing heavy is pickled, closures never cross
+the process boundary).  This module holds the worker body and the
+pieces the driver reconciles with.
 
-What makes naive sharding wrong is rotation state.  Dynamic DNS names
+What makes naive slicing wrong is rotation state.  Dynamic DNS names
 answer from a monotonically increasing per-name query counter, and one
 of them — ``proxy.heroku.com``-style shared proxies — is reachable from
-*many* tenant domains, so its counter interleaves queries across shards.
-The fix has three parts:
+*many* tenant domains, so its counter interleaves queries across
+slices.  The fix has three parts:
 
 1. before forking, a static reverse-CNAME alias-graph analysis
-   (:meth:`DnsInfrastructure.shared_dynamic_names`) finds every dynamic
-   name reachable from two or more tenant domains;
-2. workers detect digs that terminated on a shared name (possible
+   (:meth:`DnsInfrastructure.cross_chunk_dynamic_names`) flags every
+   dynamic name whose rotation could be shared by two slices;
+2. workers detect digs that terminated on a flagged name (possible
    post-hoc: dynamic answers are alias-graph terminals, so a response's
    addresses are either entirely static or entirely the terminal's),
    exclude those answers from their outputs, and log a compact
-   descriptor instead;
+   :class:`ShardLogEntry` descriptor instead (:class:`ShardRecorder`);
 3. the parent replays the logged queries against the real answer
-   functions in exact sequential global order — phase-major, then shard
-   order, then per-shard sequence — with query indices seeded from its
+   functions in exact sequential global order — phase-major, then slice
+   order, then per-slice sequence — with query indices seeded from its
    own counters, patching the merged records and exported cache entries
-   with the replayed answers.
+   with the replayed answers (:func:`replay_shared_rotations`).
 
 Names reachable from at most one tenant domain need none of this: the
-owning tenant lives in exactly one shard, so the worker's locally
+owning tenant lives in exactly one slice, so the worker's locally
 observed rotation already matches the sequential one, and the parent
 only has to advance its counters by the workers' reported deltas.
 
 The NS survey is split: workers do the per-record NS digs (fresh, no
 cache or rotation side effects), while the parent resolves the distinct
-NS hostnames — that step's first-seen dedup is global, so shard-local
+NS hostnames — that step's first-seen dedup is global, so slice-local
 copies would both re-pay and re-side-effect duplicate resolutions.
 
-The result is bit-identical to a sequential build for any worker count:
-records, discovered map, NS addresses, dynamic query counters, resolver
-caches and query counts.  ``tests/test_determinism_caching.py`` holds
-the fresh-vs-sharded equivalence to the same standard as the
-fresh-vs-warmed one.
+``tests/test_determinism_caching.py`` holds the forked build to the
+in-process one bit for bit — records, discovered map, NS addresses,
+dynamic query counters, resolver caches and query counts — for any
+worker count.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.campaign.fanout import fork_map, partition, partition_weighted
+# ``fork_map`` is re-exported: perfbench/tracing.py times fan-out by
+# patching it on this module as well as on the driver's.
+from repro.campaign.fanout import fork_map  # noqa: F401
+from repro.campaign.fanout import partition_weighted
 from repro.dns.records import DnsResponse, RRType
-from repro.net.ipv4 import IPv4Address
 
 #: Pipeline phases in sequential execution order; the replay sorts
 #: logged descriptors phase-major so cross-shard rotations are assigned
@@ -130,7 +134,7 @@ class ShardRecorder:
         it cached, the cache entry it wrote — belong to a query index
         only the merge can assign.  Classification stays local: at full
         range coverage every rotation of a given name classifies
-        identically, which is exactly the :meth:`DatasetBuilder.can_shard`
+        identically, which is exactly the :meth:`DatasetBuilder.fans_out`
         precondition.
         """
         name = self.shared_terminal(qname, response)
@@ -189,15 +193,6 @@ class ShardResult:
     metric_deltas: list = field(default_factory=list)
 
 
-def partition_ranks(count: int, shards: int) -> List[Tuple[int, int]]:
-    """Near-equal contiguous ``[lo, hi)`` rank slices, in rank order.
-
-    The arithmetic lives in :func:`repro.campaign.fanout.partition` —
-    the same slicing every engine campaign shards by.
-    """
-    return partition(count, shards)
-
-
 def partition_sites(sites, infra, shards: int) -> List[Tuple[int, int]]:
     """Work-balanced contiguous rank slices for a site list.
 
@@ -229,7 +224,7 @@ def _build_shard(
 ) -> ShardResult:
     """Worker body: run the pipeline over one contiguous rank slice.
 
-    ``export_caches=False`` (the chunked streaming build) skips the
+    ``export_caches=False`` (a deferred world's build) skips the
     resolver cache export: the parent drops worker caches by design, so
     shipping them back through the pool would only cost pickling and
     transient memory.  Query-count deltas still ride back.
@@ -323,16 +318,16 @@ def replay_shared_rotations(
 ) -> Dict[Tuple[str, str], int]:
     """Replay logged shared-rotation digs in sequential global order.
 
-    ``tagged`` is the already-sorted ``(phase rank, shard/chunk index,
-    seq, result, entry)`` list; sorting it phase-major puts every
+    ``tagged`` is the already-sorted ``(phase rank, slice index, seq,
+    result, entry)`` list; sorting it phase-major puts every
     logged dig at the position sequential execution would have run it,
     so each shared name's query indices are assigned exactly as a
     one-process build assigns them.  ``patch_cache(result, entry,
     addresses)`` and ``patch_record(result, entry, addresses)`` apply
-    the replayed answers (either may be None to only consume indices —
-    the chunked build drops worker caches, so its ``"cache"`` entries
-    reduce to counter advances).  Returns per-``(origin, name)`` replay
-    counts for the caller's delta reconciliation.
+    the replayed answers; ``patch_cache`` is None when worker caches
+    were dropped (a deferred world's build), so ``"cache"`` entries
+    only consume indices.  Returns per-``(origin, name)`` replay counts
+    for the caller's delta reconciliation.
     """
     dynamic_zone = {
         name: (origin, zone)
@@ -361,213 +356,6 @@ def replay_shared_rotations(
         if entry.kind == "cache":
             if patch_cache is not None:
                 patch_cache(result, entry, addresses)
-        elif patch_record is not None:
+        else:
             patch_record(result, entry, addresses)
     return replay_counts
-
-
-def build_sharded(builder, workers: int):
-    """Build the §2.1 dataset with a fork pool, bit-identically.
-
-    See the module docstring for the full merge/replay/reconcile
-    contract.  Callers go through :meth:`DatasetBuilder.build`, which
-    gates on :meth:`DatasetBuilder.can_shard`.
-    """
-    from repro.analysis.dataset import AlexaSubdomainsDataset
-
-    world = builder.world
-    sites = world.alexa.sites
-    bounds = partition_sites(sites, world.dns, workers)
-
-    setup_start = time.perf_counter()
-    shared = world.dns.shared_dynamic_names(
-        site.domain for site in sites
-    )
-    counter_baseline = world.dns.dynamic_query_counts()
-    resolver_baselines = {
-        name: (resolver.query_count, resolver.cache_keys())
-        for name, resolver in world._resolvers.items()
-    }
-    setup_s = time.perf_counter() - setup_start
-
-    # One shard per fork via the engine's single fan-out path; the
-    # closure (builder, world, bounds, baselines) reaches workers by
-    # copy-on-write, never by pickling.
-    with builder.obs.tracer.span(
-        "dataset:fanout", category="shard", shards=len(bounds),
-    ):
-        results = fork_map(
-            lambda shard_index: _build_shard(
-                builder, bounds, shared, resolver_baselines,
-                counter_baseline, shard_index,
-            ),
-            len(bounds),
-            len(bounds),
-        )
-
-    # Workers buffered their engine events locally (the parent sink
-    # never sees a forked child's emissions); replaying them phase-major
-    # in shard order reproduces the sequential log byte-for-byte,
-    # because each shard's campaign covers a contiguous rank slice in
-    # the same relative order.
-    sink = builder.obs.events
-    if sink.enabled:
-        for result in results:
-            sink.emit_many(result.lookup_events)
-        for result in results:
-            sink.emit_many(result.cloudfront_events)
-
-    metrics = builder.obs.metrics
-    if metrics.enabled:
-        # Re-apply each shard's counter increments in shard order: the
-        # totals come out identical to a sequential build's.
-        for result in results:
-            metrics.apply_counter_deltas(result.metric_deltas)
-        metrics.counter(
-            "dataset_shards_merged_total", volatile=True
-        ).inc(len(results))
-        merge_histogram = metrics.histogram(
-            "shard_merge_records", volatile=True, campaign="dataset"
-        )
-        for result in results:
-            merge_histogram.observe(len(result.records))
-
-    merge_start = time.perf_counter()
-
-    # -- merge outputs in rank (= shard) order -------------------------
-    discovered: Dict[str, List[str]] = {}
-    other_cdn: Dict[str, List[str]] = {}
-    records: list = []
-    cloudfront_records: list = []
-    ns_name_lists: List[List[str]] = []
-    total = 0
-    record_offsets: List[int] = []
-    cloudfront_offsets: List[int] = []
-    for result in results:
-        record_offsets.append(len(records))
-        cloudfront_offsets.append(len(cloudfront_records))
-        discovered.update(result.discovered)
-        other_cdn.update(result.other_cdn)
-        records.extend(result.records)
-        cloudfront_records.extend(result.cloudfront_records)
-        ns_name_lists.extend(result.ns_name_lists)
-        total += result.total
-
-    # -- replay shared rotations in sequential global order ------------
-    replay = sorted(
-        (
-            (_PHASE_RANK[entry.phase], result.shard_index, entry.seq,
-             result, entry)
-            for result in results
-            for entry in result.entries
-        ),
-        key=lambda item: item[:3],
-    )
-
-    def patch_cache(result, entry, addresses):
-        payload = result.resolver_payload[entry.vantage_name][1]
-        cached = payload.get((entry.qname, RRType.A))
-        if cached is None:
-            raise RuntimeError(
-                f"shard {result.shard_index} logged a cache patch for "
-                f"{entry.qname} but exported no matching entry"
-            )
-        cached.response.addresses = list(addresses)
-
-    def patch_record(result, entry, addresses):
-        offsets = (
-            record_offsets
-            if entry.phase == "lookup"
-            else cloudfront_offsets
-        )
-        target = (
-            records if entry.phase == "lookup" else cloudfront_records
-        )
-        target[offsets[result.shard_index] + entry.position].addresses.update(
-            addresses
-        )
-
-    replay_counts = replay_shared_rotations(
-        world, replay, counter_baseline, patch_cache, patch_record
-    )
-
-    # -- reconcile rotation counters -----------------------------------
-    total_deltas: Dict[Tuple[str, str], int] = {}
-    for result in results:
-        for key, delta in result.counter_deltas.items():
-            total_deltas[key] = total_deltas.get(key, 0) + delta
-    for (origin, name), count in replay_counts.items():
-        if total_deltas.get((origin, name), 0) != count:
-            raise RuntimeError(
-                f"shared-name replay drift for {name}: replayed {count} "
-                f"queries, workers reported "
-                f"{total_deltas.get((origin, name), 0)}"
-            )
-    for (origin, name), delta in total_deltas.items():
-        if name in shared and (origin, name) not in replay_counts:
-            raise RuntimeError(
-                f"shared name {name} advanced {delta} queries that no "
-                f"worker descriptor accounts for"
-            )
-    world.dns.apply_dynamic_query_deltas(total_deltas)
-
-    # -- reconcile resolver caches and query counts --------------------
-    # Cache keys are (fqdn, rtype) and fqdns are domain-unique, so the
-    # per-shard exports are disjoint and their union is exactly the
-    # sequential cache state at this point in the pipeline.
-    vantage_by_name = {v.name: v for v in world.dns_vantages()}
-    for vantage in world.dns_vantages():
-        world.resolver_for(vantage)
-    for result in results:
-        for vantage_name, (query_delta, entries) in (
-            result.resolver_payload.items()
-        ):
-            resolver = world.resolver_for(vantage_by_name[vantage_name])
-            resolver.query_count += query_delta
-            resolver.adopt_cache_entries(entries)
-    merge_s = time.perf_counter() - merge_start
-
-    # -- the global half of the NS survey ------------------------------
-    resolve_start = time.perf_counter()
-    ns_addresses = builder.resolve_ns_hostnames(ns_name_lists)
-    resolve_s = time.perf_counter() - resolve_start
-
-    # Per-step spans for the parent tracer: forked workers' own spans
-    # die with them, so the parent records the critical-path (max over
-    # shards) duration each step contributed, plus the parent-only
-    # setup/merge work.
-    tracer = builder.obs.tracer
-    if tracer.enabled:
-        for step in ("enumerate", "filter", "distributed_lookups"):
-            tracer.record(
-                step, category="dataset-step",
-                seconds=max(
-                    result.step_timings.get(f"{step}_s", 0.0)
-                    for result in results
-                ),
-                shards=len(results),
-            )
-        tracer.record(
-            "ns_survey", category="dataset-step",
-            seconds=(
-                max(
-                    result.step_timings.get("ns_survey_s", 0.0)
-                    for result in results
-                )
-                + resolve_s
-            ),
-            shards=len(results),
-        )
-        tracer.record(
-            "shard_setup", category="dataset-step", seconds=setup_s
-        )
-        tracer.record("merge", category="dataset-step", seconds=merge_s)
-
-    return AlexaSubdomainsDataset(
-        records=records,
-        discovered=discovered,
-        ns_addresses=ns_addresses,
-        total_discovered_subdomains=total,
-        cloudfront_records=cloudfront_records,
-        other_cdn_subdomains=other_cdn,
-    )

@@ -213,10 +213,8 @@ class WanAnalysis:
 
         if not columnar_runtime_enabled():
             return False
-        try:
-            from repro.columnar.wan import measure_columnar
-        except ImportError:
-            return False
+        from repro.columnar.wan import measure_columnar
+
         measure_columnar(self)
         return True
 

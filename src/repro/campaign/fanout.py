@@ -112,8 +112,8 @@ def fork_map(
 
     ``force_fork=True`` forks even for a single worker or task — for
     callers that rely on fork *isolation* rather than parallelism (the
-    streaming chunked build must keep the parent world unmutated by a
-    chunk's digs).  It cannot conjure fork support: when the platform
+    fan-out dataset build must keep the parent world unmutated by a
+    slice's digs).  It cannot conjure fork support: when the platform
     has none the calls still run in-process, so such callers must gate
     on :func:`repro.sim.fork_pool_available` themselves.
     """

@@ -224,14 +224,11 @@ class CaptureGenerator:
 
     def generate(self, domains: Sequence[TrafficDomain]) -> Trace:
         if columnar_runtime_enabled():
-            try:
-                from repro.columnar.capture import generate_columnar
-            except ImportError:
-                pass  # NumPy absent: the scalar path below is complete
-            else:
-                # Bit-identical draws and ordering; see
-                # repro.columnar.capture.
-                return generate_columnar(self, domains)
+            from repro.columnar.capture import generate_columnar
+
+            # Bit-identical draws and ordering; see
+            # repro.columnar.capture.
+            return generate_columnar(self, domains)
         trace = Trace(self.iter_flows(domains))
         trace.sort_by_time()
         return trace

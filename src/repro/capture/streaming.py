@@ -432,16 +432,6 @@ def _fold(states: Dict[int, WindowState], workers: int) -> (
     return summary
 
 
-def streaming_capture_eligible(obs: Observability = NOOP) -> bool:
-    """Whether the capture stage may stream (see the fallback matrix
-    in ``docs/PERFORMANCE.md``): the flag must be on and no live
-    probe-event sink may be attached — the event log's byte-for-byte
-    contract is defined against the batch path."""
-    from repro.flags import streaming_runtime_enabled
-
-    return streaming_runtime_enabled() and not obs.events.enabled
-
-
 def streaming_capture_summary(
     world,
     workers: int = 0,

@@ -217,62 +217,18 @@ class DnsInfrastructure:
                 raise KeyError(f"no zone {origin} for counter delta")
             zone.advance_query_count(name, delta)
 
-    def shared_dynamic_names(
-        self, tenant_domains: Iterable[str]
-    ) -> Set[str]:
-        """Dynamic names whose rotation state is shared across tenants.
-
-        Walks the static CNAME alias graph backwards from every dynamic
-        name and attributes each reachable alias to the tenant domain
-        whose zone holds it.  A dynamic name reachable from two or more
-        tenant domains (``proxy.heroku.com`` is the canonical case: many
-        Heroku apps CNAME onto one shared rotating proxy name) cannot be
-        measured shard-locally — its query counter interleaves queries
-        from different domains, which different shards would replay
-        inconsistently.  Names reachable from at most one tenant are
-        private: their counters evolve identically whether the tenant is
-        measured alone or in sequence.
-
-        Dynamic answers never contain CNAMEs (they are alias-graph
-        terminals), so the static graph is complete.
-        """
-        tenants = {normalize_name(d) for d in tenant_domains}
-        sources: Dict[str, List[Tuple[str, str]]] = {}
-        for origin, zone in self._zones.items():
-            for name, target in zone.cname_links():
-                sources.setdefault(target, []).append((name, origin))
-        shared: Set[str] = set()
-        for origin, zone in self._zones.items():
-            for dynamic_name in zone.dynamic_names():
-                owners: Set[str] = set()
-                if origin in tenants:
-                    owners.add(origin)
-                stack = [dynamic_name]
-                seen = {dynamic_name}
-                while stack and len(owners) < 2:
-                    target = stack.pop()
-                    for alias, alias_origin in sources.get(target, ()):
-                        if alias in seen:
-                            continue
-                        seen.add(alias)
-                        stack.append(alias)
-                        if alias_origin in tenants:
-                            owners.add(alias_origin)
-                if len(owners) >= 2:
-                    shared.add(dynamic_name)
-        return shared
-
     def cross_chunk_dynamic_names(
         self, window_domains: Iterable[str]
     ) -> Set[str]:
         """Dynamic names whose rotation can interleave across build
-        chunks.
+        slices.
 
-        The chunked §2.1 build (:mod:`repro.analysis.streambuild`)
-        measures one rank window at a time, so — unlike the all-at-once
-        shard fan-out — queries from *future* windows have not happened
-        yet when a window's digs run.  A dynamic name is safe to rotate
-        window-locally only when every alias pointing at it lives in
+        The fan-out §2.1 build (:mod:`repro.analysis.streambuild`)
+        measures one window of rank slices at a time; over a deferred
+        world, queries (and aliases) from *future* windows do not exist
+        yet when a window's digs run, and a fully built world passes
+        every ranked tenant as one window.  A dynamic name is safe to
+        rotate window-locally only when every alias pointing at it lives in
         exactly one of the window's own tenant zones; then the name's
         whole query history belongs to that window and the local
         counter equals the sequential one.  Conservatively flag

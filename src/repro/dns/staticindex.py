@@ -12,8 +12,8 @@ A name is *proven* static conservatively:
 
 * For A/CNAME queries: the name must not be able to reach a dynamic
   name through the static CNAME alias graph (computed by a reverse BFS
-  from every dynamic name over all zones' ``cname_links()`` — the same
-  construction as ``shared_dynamic_names``).  Any name outside that
+  from every dynamic name over all zones' ``cname_links()``, the alias
+  graph ``cross_chunk_dynamic_names`` also walks).  Any name outside that
   closure resolves through static records at every chain hop.
 * For NS queries: neither the name itself nor the apex of its
   enclosing zone may be dynamic (the apex-fallback lookup touches the

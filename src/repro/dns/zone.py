@@ -137,8 +137,9 @@ class Zone:
 
     def cname_links(self) -> List[Tuple[str, str]]:
         """Every static ``(name, target)`` CNAME edge in the zone, for
-        the cross-zone alias-graph analysis in
-        :meth:`DnsInfrastructure.shared_dynamic_names`."""
+        the cross-zone alias-graph analyses
+        (:meth:`DnsInfrastructure.cross_chunk_dynamic_names` and the
+        static index's dynamic closure)."""
         return [
             (name, str(record.value))
             for name, by_type in self._static.items()

@@ -12,15 +12,10 @@ Precedence: a programmatic override installed via
 environment variable (anything but ``"0"`` enables); default on.
 
 The streaming data plane (bounded-memory chunked world/dataset builds
-and one-pass capture analysis) follows the same discipline with its own
-pair of knobs: :func:`set_streaming_enabled` / ``REPRO_STREAMING``
-(default on), plus a chunk-size knob (:func:`set_chunk_size` /
-``REPRO_CHUNK_SIZE``) bounding how many domain ranks are materialized
-at once.  Like the columnar switch, the streaming switch only gates
-*eligibility*: individual call sites fall back to the batch path
-whenever a consumer needs state streaming releases (an outage scenario,
-a live probe-event sink, a platform without ``fork``) — see
-``docs/PERFORMANCE.md`` for the fallback matrix.
+and one-pass capture analysis) has no on/off switch: a caller who wants
+a batch build builds a non-deferred world.  Its one knob is the chunk
+size (:func:`set_chunk_size` / ``REPRO_CHUNK_SIZE``), bounding how many
+domain ranks a deferred world materializes at once.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ import os
 from typing import Optional
 
 _FORCED: Optional[bool] = None
-_FORCED_STREAMING: Optional[bool] = None
 _FORCED_CHUNK: Optional[int] = None
 
 #: Ranks materialized per streaming chunk when ``REPRO_CHUNK_SIZE`` is
@@ -54,30 +48,17 @@ def set_columnar_enabled(value: Optional[bool]) -> Optional[bool]:
 
 
 def columnar_runtime_enabled() -> bool:
-    """Whether columnar fast paths should be used, ignoring NumPy
-    availability (callers that need NumPy gate on import separately)."""
+    """Whether columnar fast paths should be used."""
     if _FORCED is not None:
         return _FORCED
     return os.environ.get("REPRO_COLUMNAR", "1") != "0"
 
 
-def set_streaming_enabled(value: Optional[bool]) -> Optional[bool]:
-    """Force the streaming data plane on/off (``None`` restores env
-    control).  Returns the previous override, mirroring
-    :func:`set_columnar_enabled`."""
-    global _FORCED_STREAMING
-    previous = _FORCED_STREAMING
-    _FORCED_STREAMING = value
-    return previous
-
-
 def streaming_runtime_enabled() -> bool:
-    """Whether streaming paths are *eligible*.  Call sites still fall
-    back to batch when a consumer needs batch-only state (scenario
-    drills, live event sinks, fork-less platforms)."""
-    if _FORCED_STREAMING is not None:
-        return _FORCED_STREAMING
-    return os.environ.get("REPRO_STREAMING", "1") != "0"
+    """Always True: the streaming data plane has no off switch.  Kept
+    as a function because ``perfbench/common.py`` records it in every
+    benchmark result's setup."""
+    return True
 
 
 def set_chunk_size(value: Optional[int]) -> Optional[int]:

@@ -244,13 +244,17 @@ class RunRepository:
 
     def _connect(self) -> sqlite3.Connection:
         conn = sqlite3.connect(self.db_path, check_same_thread=False)
-        conn.executescript(_TABLES)
-        row = conn.execute(
-            "SELECT value FROM meta WHERE key = 'index_schema'"
-        ).fetchone()
-        if row is not None and int(row[0]) != _INDEX_SCHEMA:
-            # An index written by a different repro: drop and rebuild —
-            # it's only a cache.
+        try:
+            conn.executescript(_TABLES)
+            row = conn.execute(
+                "SELECT value FROM meta WHERE key = 'index_schema'"
+            ).fetchone()
+            stale = row is not None and int(row[0]) != _INDEX_SCHEMA
+        except sqlite3.DatabaseError:
+            stale = True
+        if stale:
+            # A corrupt index, or one written by a different repro:
+            # drop and rebuild — it's only a cache.
             conn.close()
             self.db_path.unlink()
             conn = sqlite3.connect(self.db_path, check_same_thread=False)

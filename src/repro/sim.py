@@ -104,15 +104,13 @@ def advance_gauss(rng: random.Random, count: int) -> None:
     bit-identical to single-process runs.
     """
     if count >= _GAUSS_BULK_THRESHOLD:
-        try:
+        from repro.flags import columnar_runtime_enabled
+
+        if columnar_runtime_enabled():
             from repro.columnar.rng import advance_gauss_bulk
-            from repro.flags import columnar_runtime_enabled
-        except ImportError:
-            pass  # NumPy absent: the scalar loop below is complete
-        else:
-            if columnar_runtime_enabled():
-                advance_gauss_bulk(rng, count)
-                return
+
+            advance_gauss_bulk(rng, count)
+            return
     gauss = rng.gauss
     for _ in range(count):
         gauss(0.0, 1.0)

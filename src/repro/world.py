@@ -365,8 +365,8 @@ class World:
         """Deploy every remaining tenant at once, batch-equivalently.
 
         The fallback when a deferred world reaches a consumer that
-        cannot run the chunked build (live event sink, partial range
-        coverage, no fork support): the result is indistinguishable
+        cannot run the chunked build (partial range coverage, no fork
+        support): the result is indistinguishable
         from a world built with ``defer_tenants=False``.
         """
         if not self.pending_tenants:

@@ -2,8 +2,8 @@
 the batch build — records, NS addresses, rotation counters, resolver
 query counts, traffic domains, and the downstream capture — across
 worker counts and chunk sizes, while actually releasing tenant state.
-Also covers the eligibility/fallback matrix documented in
-docs/PERFORMANCE.md."""
+Also covers :meth:`DatasetBuilder.fans_out`, the one check choosing
+between the fan-out and the in-process build."""
 
 import os
 
@@ -11,7 +11,6 @@ import pytest
 
 from repro import flags
 from repro.analysis.dataset import DatasetBuilder
-from repro.analysis.streambuild import chunked_build_eligible
 from repro.faults.scenarios import OutageScenario
 from repro.obs import Observability
 from repro.world import World, WorldConfig
@@ -156,54 +155,69 @@ class TestChunkedCapture:
 
 
 class TestFallbackMatrix:
+    """:meth:`DatasetBuilder.fans_out` is the one check between the
+    fan-out and the in-process build; observing a run or drilling an
+    outage must not change which one runs."""
+
     def _deferred_world(self):
         return World(
             WorldConfig(seed=SEED, num_domains=150), defer_tenants=True
         )
 
+    def _assert_fans_out_like_batch(self, workers, **builder_kwargs):
+        batch_world = World(WorldConfig(seed=SEED, num_domains=150))
+        batch_obs = Observability.collecting(events=True)
+        batch_dataset = DatasetBuilder(
+            batch_world, obs=batch_obs, **builder_kwargs
+        ).build(0)
+        world = self._deferred_world()
+        obs = Observability.collecting(events=True)
+        builder = DatasetBuilder(world, obs=obs, **builder_kwargs)
+        assert builder.fans_out(workers)
+        # Four chunks in groups of ``workers``: events from every group
+        # must still come out lookup phase first, in rank order.
+        previous = flags.set_chunk_size(40)
+        try:
+            dataset = builder.build(workers)
+        finally:
+            flags.set_chunk_size(previous)
+        assert _dataset_view(dataset) == _dataset_view(batch_dataset)
+        assert batch_obs.events.to_ndjson()
+        assert obs.events.to_ndjson() == batch_obs.events.to_ndjson()
+        assert len(world.dns.zones()) < len(batch_world.dns.zones())
+        assert not world.deployer.deployed
+
     def test_eligible_by_default(self):
         if not hasattr(os, "fork"):
             pytest.skip("fork required for the eligible case")
         builder = DatasetBuilder(self._deferred_world())
-        assert chunked_build_eligible(builder)
+        assert builder.fans_out(0)
 
-    def test_streaming_flag_declines(self):
-        builder = DatasetBuilder(self._deferred_world())
-        previous = flags.set_streaming_enabled(False)
-        try:
-            assert not chunked_build_eligible(builder)
-        finally:
-            flags.set_streaming_enabled(previous)
+    @needs_fork
+    def test_live_event_sink_fans_out_like_batch(self):
+        self._assert_fans_out_like_batch(workers=0)
 
-    def test_live_event_sink_declines(self):
-        builder = DatasetBuilder(
-            self._deferred_world(),
-            obs=Observability.collecting(events=True),
+    @needs_fork
+    def test_outage_scenario_fans_out_like_batch(self):
+        # DNS probes are scenario-transparent, so a drill changes
+        # neither the records nor the event log.
+        self._assert_fans_out_like_batch(
+            workers=2, scenario=OutageScenario(name="drill")
         )
-        assert not chunked_build_eligible(builder)
-
-    def test_outage_scenario_declines(self):
-        builder = DatasetBuilder(
-            self._deferred_world(),
-            scenario=OutageScenario(name="drill"),
-        )
-        assert not chunked_build_eligible(builder)
 
     def test_partial_range_coverage_declines(self):
         builder = DatasetBuilder(
             self._deferred_world(), range_coverage=0.5
         )
-        assert not chunked_build_eligible(builder)
+        assert not builder.fans_out(0)
 
     def test_ineligible_deferred_world_catches_up_to_batch(self):
         batch_world = World(WorldConfig(seed=SEED, num_domains=150))
-        batch_dataset = DatasetBuilder(batch_world).build(0)
+        batch_dataset = DatasetBuilder(
+            batch_world, range_coverage=0.5
+        ).build(0)
         world = self._deferred_world()
-        previous = flags.set_streaming_enabled(False)
-        try:
-            dataset = DatasetBuilder(world).build(0)
-        finally:
-            flags.set_streaming_enabled(previous)
+        dataset = DatasetBuilder(world, range_coverage=0.5).build(0)
         assert not world.pending_tenants
         assert _dataset_view(dataset) == _dataset_view(batch_dataset)
         assert world.traffic_domains() == batch_world.traffic_domains()

@@ -9,9 +9,6 @@ import os
 import pytest
 
 from repro.capture.analyzer import BroAnalyzer
-from repro.capture.streaming import streaming_capture_eligible
-from repro.flags import set_streaming_enabled
-from repro.obs import Observability
 from repro.world import World, WorldConfig
 
 SEED = 21
@@ -156,17 +153,3 @@ class TestShardedMergeBitIdentical:
         ))
         digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
         assert digest == "10ce208df27e427a"
-
-
-class TestEligibility:
-    def test_declines_on_flag_and_event_sink(self):
-        assert streaming_capture_eligible()
-        previous = set_streaming_enabled(False)
-        try:
-            assert not streaming_capture_eligible()
-        finally:
-            set_streaming_enabled(previous)
-        live = Observability.collecting(events=True)
-        assert not streaming_capture_eligible(live)
-        quiet = Observability.collecting(events=False)
-        assert streaming_capture_eligible(quiet)

@@ -104,6 +104,20 @@ def test_index_deleted_underneath_a_live_repository(repository):
     assert _snapshot(repository) == before
 
 
+def test_corrupt_index_is_dropped_and_rebuilt(repo_root):
+    """A garbage index file must not stop the daemon from starting:
+    the repository drops it and a scan rebuilds it losslessly."""
+    with RunRepository(repo_root) as first:
+        first.scan()
+        before = _snapshot(first)
+    (repo_root / INDEX_FILENAME).write_bytes(b"not a database" * 100)
+    with RunRepository(repo_root) as second:
+        assert second.runs() == []
+        report = second.scan()
+        assert report.runs == 4
+        assert _snapshot(second) == before
+
+
 def test_fresh_repository_over_existing_index(repo_root):
     with RunRepository(repo_root) as first:
         first.scan()

@@ -15,11 +15,20 @@ cached or parallelised (see docs/PERFORMANCE.md).
 
 import random
 
+import pytest
+
+from repro.analysis import streambuild
 from repro.analysis.dataset import DatasetBuilder
+from repro.analysis.shards import replay_shared_rotations
 from repro.analysis.wan import WanAnalysis, WanConfig
 from repro.dns.records import normalize_name
 from repro.sampling import WeightedChooser
-from repro.sim import advance_gauss, derive_rng, derive_seed
+from repro.sim import (
+    advance_gauss,
+    derive_rng,
+    derive_seed,
+    fork_pool_available,
+)
 from repro.world import World, WorldConfig
 
 TINY = WorldConfig(seed=21, num_domains=200)
@@ -180,27 +189,36 @@ class TestShardedDataset:
             "resolvers": resolvers,
         }
 
-    def test_config_exercises_shared_dynamic_names(self):
-        # Guard: if this ever comes back empty the tests below would
-        # silently stop covering the shared-name replay machinery.
-        world = World(self.SHARED)
-        shared = world.dns.shared_dynamic_names(
-            site.domain for site in world.alexa.sites
+    def test_config_exercises_shared_dynamic_names(self, monkeypatch):
+        # Guard: if the fan-out ever stops replaying descriptors for
+        # the shared proxy the tests below would silently stop covering
+        # the shared-name replay machinery.
+        if not fork_pool_available():
+            pytest.skip("the fan-out build needs fork")
+        replayed = []
+
+        def counting_replay(world, tagged, *args):
+            replayed.extend(entry.name for *_, entry in tagged)
+            return replay_shared_rotations(world, tagged, *args)
+
+        monkeypatch.setattr(
+            streambuild, "replay_shared_rotations", counting_replay
         )
-        assert shared == {"proxy.heroku.com"}
+        DatasetBuilder(World(self.SHARED)).build(workers=2)
+        assert "proxy.heroku.com" in replayed
 
     def test_sharded_build_bit_identical_to_sequential(self):
         sequential = self._full_state(workers=0)
         for workers in (2, 4):
             assert self._full_state(workers) == sequential
 
-    def test_can_shard_requires_full_range_coverage(self):
+    def test_fan_out_requires_full_range_coverage(self):
         world = World(TINY)
         partial = DatasetBuilder(world, range_coverage=0.8)
-        assert not partial.can_shard(workers=4)
+        assert not partial.fans_out(workers=4)
         full = DatasetBuilder(world)
-        assert not full.can_shard(workers=0)
-        assert not full.can_shard(workers=1)
+        assert not full.fans_out(workers=0)
+        assert not full.fans_out(workers=1)
 
     def test_workers_one_falls_back_to_sequential(self):
         # workers=1 gains nothing from forking; it must take the

@@ -12,9 +12,10 @@ Within one time budget this script:
    telemetry timeline and wrote a ``*.regressions.json`` whose sentinel
    verdict flags the slowed stage (``drift`` or ``divergent``, never
    ``match``);
-3. corrupts the timeline SQLite store, rebuilds it, and asserts the
-   rebuilt store returns identical entries and an identical
-   ``repro report`` rendering (the pure-cache contract);
+3. corrupts the root's one catalog file (``.repro-index.sqlite``),
+   rebuilds it, and asserts the rebuilt catalog returns identical
+   runs, entries, and ``repro report`` rendering (the pure-cache
+   contract);
 4. runs ``repro report --check`` over the root and requires the
    documented regression exit code (5) plus a ``regressions.json``
    naming the slowed stage.
@@ -78,7 +79,6 @@ def main() -> int:
 
     from repro.obs.dashboard import render_report
     from repro.obs.sentinel import EXIT_REGRESSION
-    from repro.obs.timeline import TimelineStore
     from repro.service.cli import service_main
     from repro.service.jobs import JobSpec, Scheduler
     from repro.service.repository import RunRepository
@@ -90,10 +90,9 @@ def main() -> int:
     else:
         root = Path(args.root)
 
-    repository = RunRepository(root)
-    repository.scan()
-    timeline = TimelineStore(root)
-    scheduler = Scheduler(repository, timeline=timeline)
+    catalog = RunRepository(root)
+    catalog.scan()
+    scheduler = Scheduler(catalog)
     spec = JobSpec.from_dict({
         "kind": "bench",
         "domains": args.domains,
@@ -169,23 +168,26 @@ def main() -> int:
     )
 
     # 3. The pure-cache contract: corrupt, rebuild, identical answers.
-    print("[3/4] corrupt + rebuild the timeline store", flush=True)
-    entries_before = [e.as_dict() for e in timeline.entries()]
-    report_before = render_report(timeline)
-    timeline.db_path.write_bytes(b"not a sqlite file")
-    timeline.rebuild()
-    entries_after = [e.as_dict() for e in timeline.entries()]
-    report_after = render_report(timeline)
+    print("[3/4] corrupt + rebuild the catalog", flush=True)
+
+    def answers():
+        return (
+            [r.as_dict() for r in catalog.runs()],
+            [e.as_dict() for e in catalog.entries()],
+            render_report(catalog),
+        )
+
+    before = answers()
+    catalog.db_path.write_bytes(b"not a sqlite file")
+    catalog.rebuild()
+    after = answers()
+    _assert(before[0] == after[0], "rebuilt catalog runs differ")
+    _assert(before[1] == after[1], "rebuilt catalog entries differ")
     _assert(
-        entries_before == entries_after,
-        "rebuilt timeline entries differ from the originals",
+        before[2] == after[2],
+        "rebuilt catalog renders a different report",
     )
-    _assert(
-        report_before == report_after,
-        "rebuilt timeline renders a different report",
-    )
-    timeline.close()
-    repository.close()
+    catalog.close()
     budget.check("rebuild")
 
     # 4. The CLI gate: repro report --check must exit EXIT_REGRESSION.

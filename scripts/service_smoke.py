@@ -21,8 +21,9 @@ Within one time budget this script:
    (schema version + code fingerprint + timeline counts),
    ``/timeline`` + ``/dashboard``, the NDJSON access log (including
    the submitted ``X-Request-Id``, which must also survive into the
-   produced run's ``timings.json``), and the index rebuild (drop the
-   SQLite file, POST ``/scan``, same answers);
+   produced run's ``timings.json``), and the catalog rebuild (drop
+   the one SQLite file, POST ``/scan``, same ``/runs`` and
+   ``/timeline`` answers);
 6. shuts the daemon down cleanly (SIGINT) and requires it to exit
    within the budget.
 
@@ -327,6 +328,7 @@ def main() -> int:
             f"expected 1 access-log line for {request_id}: {submits}",
         )
         before = _get(f"{base}/runs")["runs"]
+        entries_before = _get(f"{base}/timeline")["entries"]
         index = service_root / ".repro-index.sqlite"
         _assert(index.exists(), "index file missing")
         index.unlink()
@@ -338,6 +340,10 @@ def main() -> int:
         )
         after = _get(f"{base}/runs")["runs"]
         _assert(before == after, "rebuilt index answers differ")
+        _assert(
+            _get(f"{base}/timeline")["entries"] == entries_before,
+            "rebuilt timeline entries differ",
+        )
 
         # 6. Clean shutdown.
         print("[6/6] clean shutdown", flush=True)

@@ -3,19 +3,22 @@
 Three layers over the run-manifest plane (ROADMAP item 5, the "serves
 traffic" half of the north star):
 
-* **repository** (:mod:`repro.service.repository`) — a SQLite-indexed
-  catalog of ``run-<hash>/`` and ``series-<hash>/`` directories.  The
-  directories stay the source of truth; the index is a pure cache that
-  rebuilds losslessly from disk.
+* **repository** (:mod:`repro.service.repository`) — the one
+  SQLite-indexed catalog per root: ``run-<hash>/`` and
+  ``series-<hash>/`` directories plus the telemetry timeline's entries
+  (runs and bench trajectories).  The directories and bench files stay
+  the source of truth; the index is a pure cache that rebuilds
+  losslessly from disk.
 * **scheduler** (:mod:`repro.service.jobs`) — deterministic,
   content-addressed :class:`JobSpec`\\ s (single-shot campaigns, epoch
   series, bench profiles) executed through the *unchanged*
   ``ExperimentContext`` / ``run_series`` machinery, with outcomes
-  recorded through the repository.  A job-produced ``run-<hash>/`` is
+  recorded through the catalog.  A job-produced ``run-<hash>/`` is
   byte-identical to the same config run via ``repro-experiments``.
 * **API** (:mod:`repro.service.api`) — a stdlib HTTP server exposing
   manifests, fidelity reports, trend tables, Prometheus ``/metrics``,
-  job submission, and ``/compare`` (key-by-key run diffs, see
+  job submission, the telemetry ``/timeline`` and ``/dashboard``, and
+  ``/compare`` (key-by-key run diffs, see
   :mod:`repro.service.compare`).
 
 The service only orchestrates and reads — determinism invariants

@@ -1,12 +1,14 @@
 """The HTTP API: the service's read (and submit) surface.
 
-Pure stdlib (``http.server``): the container bakes no web framework in
-and none is needed — every response is JSON or plain text assembled
-from the repository, the scheduler, and the observability plane.
+Pure stdlib (``http.server``): no web framework is needed — every
+response is JSON or plain text assembled from the run catalog (runs,
+series, and the telemetry timeline in one store), the scheduler, and
+the observability plane.
 
 Routes::
 
-    GET  /health                 service + index cardinalities
+    GET  /health                 service + index + timeline
+                                 cardinalities
     GET  /runs                   indexed runs (?scenario= &status=
                                  &seed= &experiment= &epoch_plan=
                                  &limit=)
@@ -28,8 +30,8 @@ Routes::
     GET  /jobs/<id>              one job's record
     POST /jobs                   submit a JobSpec (JSON body; ?force=1
                                  re-queues an identical spec)
-    POST /scan                   re-index the repository (and timeline)
-                                 from disk
+    POST /scan                   re-index the catalog (runs, series,
+                                 timeline) from disk
 
 Unknown ids are 404, bad specs/queries 400, everything else 500 — all
 with ``{"error": ...}`` JSON bodies.
@@ -100,22 +102,18 @@ def encode_payload(content_type: str, payload: object) -> bytes:
 
 
 class ServiceAPI:
-    """Route handlers bound to one repository (+ optional scheduler)."""
+    """Route handlers bound to one catalog (+ optional scheduler)."""
 
     def __init__(
         self,
         repository,
         scheduler=None,
         obs: Optional[Observability] = None,
-        timeline=None,
         access_log=None,
     ):
         self.repository = repository
         self.scheduler = scheduler
         self.obs = obs or Observability(metrics=MetricsRegistry())
-        #: Optional :class:`repro.obs.timeline.TimelineStore` backing
-        #: ``/timeline`` and ``/dashboard`` (503 without one).
-        self.timeline = timeline
         #: Optional :class:`repro.obs.events.EventSink` receiving one
         #: NDJSON access-log event per handled request.
         self.access_log = access_log
@@ -212,8 +210,6 @@ class ServiceAPI:
                 return self._submit_job(query, body, headers)
             if segments == ["scan"]:
                 report = self.repository.scan().as_dict()
-                if self.timeline is not None:
-                    report["timeline"] = self.timeline.scan().as_dict()
                 return 200, "application/json", report
             raise _HTTPError(404, f"no POST route /{'/'.join(segments)}")
         if method != "GET":
@@ -257,8 +253,7 @@ class ServiceAPI:
                 for status in ("pending", "running", "completed",
                                "failed")
             }
-        if self.timeline is not None:
-            payload["timeline"] = self.timeline.counts()
+        payload["timeline"] = self.repository.timeline_counts()
         return 200, "application/json", payload
 
     @staticmethod
@@ -374,29 +369,24 @@ class ServiceAPI:
                 ).set(
                     sum(1 for r in queue if r.status == "pending")
                 )
-            if self.timeline is not None:
-                timeline_counts = self.timeline.counts()
-                for source in ("run", "bench"):
-                    metrics.gauge(
-                        "service_timeline_entries", volatile=True,
-                        source=source,
-                    ).set(timeline_counts[f"{source}_entries"])
+            timeline_counts = self.repository.timeline_counts()
+            for source in ("run", "bench"):
+                metrics.gauge(
+                    "service_timeline_entries", volatile=True,
+                    source=source,
+                ).set(timeline_counts[f"{source}_entries"])
         return 200, "text/plain", metrics.render_prometheus()
 
     def _timeline(self, rest, query):
-        if self.timeline is None:
-            raise _HTTPError(
-                503, "this server runs without a telemetry timeline"
-            )
         if rest == ["series"]:
             return 200, "application/json", {
-                "series": self.timeline.series_keys()
+                "series": self.repository.series_keys()
             }
         if rest:
             raise _HTTPError(
                 404, f"no route /timeline/{'/'.join(rest)}"
             )
-        entries = self.timeline.entries(
+        entries = self.repository.entries(
             source=query.get("source"),
             series_key=query.get("series"),
             scale=query.get("scale"),
@@ -409,21 +399,17 @@ class ServiceAPI:
         }
 
     def _dashboard(self, query):
-        if self.timeline is None:
-            raise _HTTPError(
-                503, "this server runs without a telemetry timeline"
-            )
         from repro.obs.dashboard import render_html, render_report
         from repro.obs.sentinel import check_store
 
-        reports = check_store(self.timeline)
+        reports = check_store(self.repository)
         if query.get("format") == "text":
             return 200, "text/plain", render_report(
-                self.timeline, reports
+                self.repository, reports
             )
         _, _, health = self._health()
         return 200, "text/html", render_html(
-            self.timeline, reports, health=health
+            self.repository, reports, health=health
         )
 
     def _jobs(self, rest, query):

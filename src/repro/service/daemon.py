@@ -1,10 +1,11 @@
-"""Daemon glue: repository + scheduler + HTTP API as one service.
+"""Daemon glue: catalog + scheduler + HTTP API as one service.
 
-:class:`ReproService` is what ``repro serve`` instantiates — it scans
-the repository root on startup, runs the scheduler loop on a worker
-thread, and serves the API either blocking (:meth:`serve_forever`, the
-CLI path) or on a background thread (:meth:`start`/:meth:`stop`, the
-test and smoke-script path).
+:class:`ReproService` is what ``repro serve`` instantiates — it opens
+the root's one catalog and scans it on startup, fails the jobs a dead
+daemon left ``running`` (the daemon is the single claimant), runs the
+scheduler loop on a worker thread, and serves the API either blocking
+(:meth:`serve_forever`, the CLI path) or on a background thread
+(:meth:`start`/:meth:`stop`, the test and smoke-script path).
 """
 
 from __future__ import annotations
@@ -37,21 +38,15 @@ class ReproService:
         access_log: bool = True,
     ):
         from repro.obs.events import EventSink
-        from repro.obs.timeline import TimelineStore
 
         self.obs = Observability(metrics=MetricsRegistry())
         self.repository = RunRepository(root)
         report = self.repository.scan()
         logger.info(
-            "indexed %d runs, %d series (%d skipped) under %s",
-            report.runs, report.series, len(report.skipped), root,
-        )
-        self.timeline = TimelineStore(root)
-        timeline_report = self.timeline.scan()
-        logger.info(
-            "timeline: %d entries (%d runs, %d benches)",
-            timeline_report.entries, timeline_report.runs,
-            timeline_report.benches,
+            "indexed %d runs, %d series, %d timeline entries "
+            "(%d benches, %d skipped) under %s",
+            report.runs, report.series, report.entries, report.benches,
+            len(report.skipped), root,
         )
         #: Per-request NDJSON access log — write-through only (the
         #: daemon must not buffer its own request history in memory).
@@ -64,16 +59,16 @@ class ReproService:
             from repro.artifacts import ArtifactStore
 
             store = ArtifactStore(artifact_dir, obs=self.obs)
-        self.scheduler = (
-            Scheduler(
+        self.scheduler = None
+        if scheduler_enabled:
+            self.scheduler = Scheduler(
                 self.repository, artifact_store=store, obs=self.obs,
-                max_attempts=max_attempts, timeline=self.timeline,
+                max_attempts=max_attempts,
             )
-            if scheduler_enabled else None
-        )
+            self.scheduler.fail_interrupted()
         self.api = ServiceAPI(
             self.repository, scheduler=self.scheduler, obs=self.obs,
-            timeline=self.timeline, access_log=self.access_log,
+            access_log=self.access_log,
         )
         self.poll_interval = poll_interval
         self.server = self.api.make_server(host, port)
@@ -142,6 +137,5 @@ class ReproService:
                 thread.join(timeout=10)
         self._threads.clear()
         self.repository.close()
-        self.timeline.close()
         if self.access_log is not None:
             self.access_log.close()

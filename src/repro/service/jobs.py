@@ -15,11 +15,15 @@ one unit of work — the same (kind, config) always hashes to the same
 
 Job state lives as one JSON file per job under ``<root>/jobs/`` — like
 the run directories themselves, the files are the source of truth and
-the SQLite index stays a pure cache of *results*.  The
+the SQLite catalog stays a pure cache of *results*.  The
 :class:`Scheduler` claims the oldest pending job, executes it, records
 the outcome in the job file, and ingests the produced run/series
-directories into the repository.  ``run_forever`` is the daemon loop
-``repro serve`` spins up next to the HTTP API.
+directories into the catalog — run rows and timeline entries together,
+so telemetry never depends on how a job ran; bench outputs get a
+regression-sentinel pass.  ``run_forever`` is the daemon loop ``repro
+serve`` spins up next to the HTTP API, after
+:meth:`Scheduler.fail_interrupted` has released the jobs a dead daemon
+left ``running``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ JOB_STATUSES = ("pending", "running", "completed", "failed")
 
 #: Version of the job-file layout (same contract as run manifests).
 JOB_SCHEMA_VERSION = 1
+
+#: Error recorded on a job whose daemon died while it was running.
+INTERRUPTED_ERROR = "interrupted: the daemon stopped while the job ran"
 
 
 @dataclass(frozen=True)
@@ -230,6 +237,9 @@ class Scheduler:
         max_attempts: int = 1,
         timeline=None,
     ):
+        # ``timeline`` is ignored: the repository is the catalog that
+        # holds timeline entries (perfbench/pipeline.py still passes
+        # one).
         self.repository = repository
         self.jobs_dir = Path(repository.root) / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
@@ -244,10 +254,6 @@ class Scheduler:
         #: attempted this many times (1 = the historic no-retry
         #: behaviour).
         self.max_attempts = max(1, int(max_attempts))
-        #: Optional :class:`repro.obs.timeline.TimelineStore` —
-        #: completed jobs auto-append their telemetry, and bench jobs
-        #: get a regression-sentinel pass over their trajectory.
-        self.timeline = timeline
         #: The record currently being executed (provenance for the
         #: produced run's ``timings.json``).
         self._active_job: Optional[JobRecord] = None
@@ -333,14 +339,15 @@ class Scheduler:
         the queue forever, a persistent one stops after the budget).
         """
         with self._lock:
-            claimable = self.jobs(status="pending")
-            retry = False
-            if not claimable:
+            queue = self.jobs()
+            claimable = [r for r in queue if r.status == "pending"]
+            retry = not claimable
+            if retry:
                 claimable = [
-                    r for r in self.jobs(status="failed")
-                    if r.attempts < self.max_attempts
+                    r for r in queue
+                    if r.status == "failed"
+                    and r.attempts < self.max_attempts
                 ]
-                retry = True
             if not claimable:
                 return None
             record = claimable[0]
@@ -363,6 +370,25 @@ class Scheduler:
                 record.error,
             )
         return record
+
+    def fail_interrupted(self) -> List[JobRecord]:
+        """Mark every ``running`` job failed with
+        :data:`INTERRUPTED_ERROR`.
+
+        Only the single claimant may call this, at startup: a job still
+        ``running`` then was claimed by a daemon that died.  Its attempt
+        was counted at claim, so :attr:`max_attempts` decides whether
+        :meth:`claim_next` picks it up again.
+        """
+        with self._lock:
+            interrupted = self.jobs(status="running")
+            for record in interrupted:
+                logger.warning("%s: %s", record.job_id, INTERRUPTED_ERROR)
+                record.status = "failed"
+                record.error = INTERRUPTED_ERROR
+                record.finished_at = time.time()
+                self._write(record)
+        return interrupted
 
     def execute(self, record: JobRecord) -> JobRecord:
         """Run one claimed job to completion and persist the outcome."""
@@ -483,7 +509,7 @@ class Scheduler:
         )
         run_dir = Path(self.repository.root) / manifest.run_id
         record = self.repository.ingest_run_dir(run_dir)
-        self._record_timeline_run(run_dir)
+        self._count_appends("run")
         return {
             "run_id": manifest.run_id,
             "fidelity_status": record.fidelity_status,
@@ -528,10 +554,7 @@ class Scheduler:
         record = self.repository.ingest_series_dir(
             Path(self.repository.root) / series.series_id
         )
-        for run_id in record.run_ids:
-            self._record_timeline_run(
-                Path(self.repository.root) / run_id
-            )
+        self._count_appends("run", len(record.run_ids))
         epoch0 = series.epochs[0].manifest.fidelity
         return {
             "series_id": series.series_id,
@@ -591,49 +614,34 @@ class Scheduler:
             "bench_path": str(out),
             "digests": bench.get("digests", {}),
         }
-        outcome.update(self._record_timeline_bench(out))
+        outcome.update(self._judge_bench(out))
         return outcome
 
     # -- timeline hooks ------------------------------------------------
 
-    def _record_timeline_run(self, run_dir: Path) -> None:
-        """Best-effort append to the telemetry timeline (a timeline
-        problem must never fail the job that produced the run)."""
-        if self.timeline is None:
-            return
-        try:
-            self.timeline.record_run(run_dir)
-            self.obs.metrics.counter(
-                "service_timeline_appends_total", volatile=True,
-                source="run",
-            ).inc()
-        except (OSError, ValueError) as error:
-            logger.warning(
-                "timeline: could not record %s: %s", run_dir, error
-            )
+    def _count_appends(self, source: str, amount: int = 1) -> None:
+        self.obs.metrics.counter(
+            "service_timeline_appends_total", volatile=True,
+            source=source,
+        ).inc(amount)
 
-    def _record_timeline_bench(self, path: Path) -> Dict[str, object]:
+    def _judge_bench(self, path: Path) -> Dict[str, object]:
         """Append a bench file's trajectory to the timeline, then run
         the regression sentinel over the touched series and persist the
         verdicts as ``<stem>.regressions.json`` next to the output."""
-        if self.timeline is None:
-            return {}
         from repro.obs.sentinel import check_series, write_regressions
 
         try:
-            entries = self.timeline.record_bench(path)
+            entries = self.repository.record_bench(path)
         except (OSError, ValueError) as error:
             logger.warning(
                 "timeline: could not record %s: %s", path, error
             )
             return {}
-        self.obs.metrics.counter(
-            "service_timeline_appends_total", volatile=True,
-            source="bench",
-        ).inc()
+        self._count_appends("bench")
         reports = []
         for series_key in sorted({e.series_key for e in entries}):
-            report = check_series(self.timeline, series_key)
+            report = check_series(self.repository, series_key)
             if report is not None:
                 reports.append(report)
         regressions_path = path.with_name(

@@ -1,20 +1,24 @@
-"""The repository layer: a queryable catalog of runs and series.
+"""The run catalog: one queryable SQLite index per repository root.
 
-Every experiments run leaves a ``run-<hash>/`` directory and every
+Every experiments run leaves a ``run-<hash>/`` directory, every
 longitudinal series a ``series-<hash>/`` one (see
-:mod:`repro.experiments.manifest` and :mod:`repro.epochs.series`); until
-now only ``ls`` could find them again.  :class:`RunRepository` indexes
-one tree of those directories into SQLite and answers the questions the
-scheduler, the HTTP API, and the CLI ask: list runs by scenario / seed /
+:mod:`repro.experiments.manifest` and :mod:`repro.epochs.series`), and
+every bench job a JSON file under ``bench/``.  :class:`RunRepository`
+indexes one tree of them into a single SQLite file and answers the
+questions the scheduler, the HTTP API, the CLI, the regression
+sentinel, and the dashboard ask: list runs by scenario / seed /
 fidelity status / experiment membership / epoch plan, fetch one run's
-manifest, fidelity report, or timings, link a series to its epoch runs.
+manifest, fidelity report, or timings, link a series to its epoch runs,
+and replay a configuration's telemetry trajectory (the ``entries``
+table, whose rows :mod:`repro.obs.timeline` extracts).
 
-The index is a **pure cache**: the run directories on disk are the
-source of truth, ``scan()`` rebuilds the whole index from them, and
-deleting the SQLite file loses nothing — :meth:`rebuild` recreates a
-query-identical index.  Corrupt or partial run directories (crashed
-writers, unknown schema versions) are skipped with a warning and listed
-in the :class:`ScanReport`, never fatal.
+The index is a **pure cache**: the directories and bench files on disk
+are the source of truth, ``scan()`` rebuilds the whole index from them
+(reading each run directory once for both its run row and its timeline
+entry), and deleting or corrupting the SQLite file loses nothing —
+:meth:`rebuild` recreates a query-identical index.  Corrupt or partial
+sources (crashed writers, unknown schema versions) are skipped with a
+warning and listed in the :class:`ScanReport`, never fatal.
 
 Thread safety: one connection guarded by an ``RLock`` — the HTTP API
 serves from a thread pool while the scheduler ingests.
@@ -26,12 +30,18 @@ import json
 import logging
 import sqlite3
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.epochs.series import load_series
-from repro.experiments.manifest import LoadedRun, load_manifest
+from repro.experiments.manifest import LoadedRun
+from repro.obs.timeline import (
+    TimelineEntry,
+    entries_from_bench_file,
+    entry_from_run,
+)
 from repro.service.errors import UnknownRunError, UnknownSeriesError
 
 logger = logging.getLogger(__name__)
@@ -40,9 +50,17 @@ logger = logging.getLogger(__name__)
 #: the run-dir globs never mistake it for a result.
 INDEX_FILENAME = ".repro-index.sqlite"
 
-#: Schema of the *index* (not of the manifests it caches).  Bumping it
+#: Schema of the *index* (not of the files it caches).  Bumping it
 #: invalidates old index files, which simply rebuild from disk.
-_INDEX_SCHEMA = 1
+_INDEX_SCHEMA = 2
+
+#: Bench files the sentinel wrote, living next to real bench output —
+#: never timeline input.
+_REGRESSIONS_SUFFIX = ".regressions.json"
+
+#: Every table a scan refills from disk.
+_CACHE_TABLES = ("runs", "run_experiments", "series", "series_runs",
+                 "entries")
 
 _TABLES = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -82,6 +100,30 @@ CREATE TABLE IF NOT EXISTS series_runs (
     epoch_index INTEGER NOT NULL,
     run_id TEXT NOT NULL,
     PRIMARY KEY (series_id, epoch_index));
+CREATE TABLE IF NOT EXISTS entries (
+    entry_id TEXT PRIMARY KEY,
+    source TEXT NOT NULL,
+    origin TEXT NOT NULL,
+    position INTEGER NOT NULL,
+    series_key TEXT NOT NULL,
+    fingerprint TEXT,
+    scale TEXT,
+    seed INTEGER,
+    domains INTEGER,
+    wan_rounds INTEGER,
+    scenario TEXT,
+    epoch_plan TEXT,
+    epoch_index INTEGER,
+    recorded_at REAL NOT NULL,
+    fidelity_status TEXT,
+    fidelity_counts TEXT NOT NULL,
+    timings TEXT NOT NULL,
+    rss_high_water_kib INTEGER,
+    digests TEXT NOT NULL,
+    metrics_digest TEXT,
+    extra TEXT NOT NULL);
+CREATE INDEX IF NOT EXISTS entries_series
+    ON entries (series_key, recorded_at, position, entry_id);
 """
 
 
@@ -212,7 +254,10 @@ class ScanReport:
 
     runs: int = 0
     series: int = 0
-    #: ``[{"path": ..., "reason": ...}]`` for every directory skipped.
+    #: Bench files read, and timeline entries from runs and benches.
+    benches: int = 0
+    entries: int = 0
+    #: ``[{"path": ..., "reason": ...}]`` for every source skipped.
     skipped: List[Dict[str, str]] = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -220,16 +265,29 @@ class ScanReport:
             "runs": self.runs,
             "series": self.series,
             "skipped": list(self.skipped),
+            "timeline": {
+                "entries": self.entries,
+                "runs": self.runs,
+                "benches": self.benches,
+                "skipped": list(self.skipped),
+            },
         }
 
 
 class RunRepository:
-    """SQLite-indexed catalog over one tree of run/series directories."""
+    """SQLite-indexed catalog over one tree of run/series directories
+    and bench files.
+
+    ``bench_paths`` names bench JSON files *outside* the root (the
+    committed ``BENCH_*.json`` family) to fold into every scan; the
+    root's own ``bench/`` products are always included.
+    """
 
     def __init__(
         self,
         root: Union[str, Path],
         db_path: Optional[Union[str, Path]] = None,
+        bench_paths: Sequence[Union[str, Path]] = (),
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -237,6 +295,7 @@ class RunRepository:
             Path(db_path) if db_path is not None
             else self.root / INDEX_FILENAME
         )
+        self.bench_paths = [Path(p) for p in bench_paths]
         self._lock = threading.RLock()
         self._conn = self._connect()
 
@@ -287,55 +346,87 @@ class RunRepository:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def _query(self, sql: str, params: Sequence = ()) -> list:
+        with self._lock:
+            self._ensure_index()
+            return self._conn.execute(sql, params).fetchall()
+
+    @contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Cursor]:
+        """A cursor whose writes commit together, or roll back."""
+        with self._lock:
+            self._ensure_index()
+            with self._conn:
+                yield self._conn.cursor()
+
     # -- ingestion -----------------------------------------------------
+
+    @staticmethod
+    def _read_run(run_dir: Path) -> Tuple[RunRecord, TimelineEntry]:
+        """One read of a run directory: its run row and its entry."""
+        loaded = LoadedRun.from_dir(run_dir)
+        return (
+            RunRecord.from_manifest(run_dir, loaded.manifest),
+            entry_from_run(loaded),
+        )
+
+    @staticmethod
+    def _read_series(series_dir: Path) -> SeriesRecord:
+        return SeriesRecord.from_payload(series_dir, load_series(series_dir))
+
+    def _dirs(self, pattern: str) -> List[Path]:
+        return sorted(p for p in self.root.glob(pattern) if p.is_dir())
+
+    def _bench_files(self) -> List[Path]:
+        files = sorted(
+            p for p in (self.root / "bench").glob("*.json")
+            if not p.name.endswith(_REGRESSIONS_SUFFIX)
+        )
+        for extra in self.bench_paths:
+            if extra not in files:
+                files.append(extra)
+        return files
+
+    @staticmethod
+    def _read_each(kind: str, paths, read, report: ScanReport) -> list:
+        """``read`` every path, skipping (and reporting) corrupt ones."""
+        results = []
+        for path in paths:
+            try:
+                results.append(read(path))
+            except (OSError, ValueError) as error:
+                logger.warning("skipping %s %s: %s", kind, path, error)
+                report.skipped.append(
+                    {"path": str(path), "reason": str(error)}
+                )
+        return results
 
     def scan(self) -> ScanReport:
         """Re-index the whole tree from disk (the index is a cache:
-        rows for vanished directories are dropped, every surviving
-        directory is re-read)."""
+        rows for vanished sources are dropped, every surviving source
+        is re-read, each run directory once)."""
         report = ScanReport()
-        records: List[RunRecord] = []
-        series_records: List[SeriesRecord] = []
-        for run_dir in sorted(self.root.glob("run-*")):
-            if not run_dir.is_dir():
-                continue
-            try:
-                manifest = load_manifest(run_dir)
-                records.append(RunRecord.from_manifest(run_dir, manifest))
-            except (OSError, ValueError) as error:
-                logger.warning("skipping run dir %s: %s", run_dir, error)
-                report.skipped.append(
-                    {"path": str(run_dir), "reason": str(error)}
-                )
-        for series_dir in sorted(self.root.glob("series-*")):
-            if not series_dir.is_dir():
-                continue
-            try:
-                payload = load_series(series_dir)
-                series_records.append(
-                    SeriesRecord.from_payload(series_dir, payload)
-                )
-            except (OSError, ValueError) as error:
-                logger.warning(
-                    "skipping series dir %s: %s", series_dir, error
-                )
-                report.skipped.append(
-                    {"path": str(series_dir), "reason": str(error)}
-                )
-        with self._lock:
-            self._ensure_index()
-            cursor = self._conn.cursor()
-            cursor.execute("DELETE FROM runs")
-            cursor.execute("DELETE FROM run_experiments")
-            cursor.execute("DELETE FROM series")
-            cursor.execute("DELETE FROM series_runs")
-            for record in records:
+        runs = self._read_each("run dir", self._dirs("run-*"),
+                               self._read_run, report)
+        series = self._read_each("series dir", self._dirs("series-*"),
+                                 self._read_series, report)
+        benches = self._read_each("bench file", self._bench_files(),
+                                  entries_from_bench_file, report)
+        entries = [entry for _, entry in runs]
+        entries += [entry for bench in benches for entry in bench]
+        with self._transaction() as cursor:
+            for table in _CACHE_TABLES:
+                cursor.execute(f"DELETE FROM {table}")
+            for record, _ in runs:
                 self._insert_run(cursor, record)
-            for record in series_records:
+            for record in series:
                 self._insert_series(cursor, record)
-            self._conn.commit()
-        report.runs = len(records)
-        report.series = len(series_records)
+            for entry in entries:
+                self._insert_entry(cursor, entry)
+        report.runs = len(runs)
+        report.series = len(series)
+        report.benches = len(benches)
+        report.entries = len(entries)
         return report
 
     def rebuild(self) -> ScanReport:
@@ -348,45 +439,50 @@ class RunRepository:
         return self.scan()
 
     def ingest_run_dir(self, run_dir: Union[str, Path]) -> RunRecord:
-        """Index (or re-index) one run directory; raises on corrupt
-        input — targeted ingestion is for writers that just produced
-        the directory and must notice their own failures."""
-        run_dir = Path(run_dir)
-        record = RunRecord.from_manifest(run_dir, load_manifest(run_dir))
-        with self._lock:
-            self._ensure_index()
-            cursor = self._conn.cursor()
+        """Index (or re-index) one run directory and its timeline entry
+        in one transaction; raises on corrupt input — targeted
+        ingestion is for writers that just produced the directory and
+        must notice their own failures."""
+        record, entry = self._read_run(Path(run_dir))
+        with self._transaction() as cursor:
             cursor.execute(
                 "DELETE FROM run_experiments WHERE run_id = ?",
                 (record.run_id,),
             )
             self._insert_run(cursor, record)
-            self._conn.commit()
+            self._insert_entry(cursor, entry)
         return record
+
+    #: ``perfbench/tracing.py`` wraps this name.
+    record_run = ingest_run_dir
 
     def ingest_series_dir(
         self, series_dir: Union[str, Path]
     ) -> SeriesRecord:
         """Index one series directory plus its epoch runs (which live
         as sibling ``run-*`` dirs under the same root)."""
-        series_dir = Path(series_dir)
-        record = SeriesRecord.from_payload(
-            series_dir, load_series(series_dir)
-        )
-        with self._lock:
-            self._ensure_index()
-            cursor = self._conn.cursor()
+        record = self._read_series(Path(series_dir))
+        with self._transaction() as cursor:
             cursor.execute(
                 "DELETE FROM series_runs WHERE series_id = ?",
                 (record.series_id,),
             )
             self._insert_series(cursor, record)
-            self._conn.commit()
         for run_id in record.run_ids:
             run_dir = self.root / run_id
             if run_dir.is_dir():
                 self.ingest_run_dir(run_dir)
         return record
+
+    def record_bench(
+        self, path: Union[str, Path]
+    ) -> List[TimelineEntry]:
+        """Index (or refresh) one bench JSON file's trajectory."""
+        entries = entries_from_bench_file(path)
+        with self._transaction() as cursor:
+            for entry in entries:
+                self._insert_entry(cursor, entry)
+        return entries
 
     @staticmethod
     def _insert_run(cursor, record: RunRecord) -> None:
@@ -426,7 +522,29 @@ class RunRepository:
                 (record.series_id, index, run_id),
             )
 
-    # -- queries -------------------------------------------------------
+    @staticmethod
+    def _insert_entry(cursor, entry: TimelineEntry) -> None:
+        cursor.execute(
+            "INSERT OR REPLACE INTO entries VALUES "
+            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
+            "?, ?, ?)",
+            (
+                entry.entry_id, entry.source, entry.origin,
+                entry.position, entry.series_key, entry.fingerprint,
+                entry.scale, entry.seed, entry.domains,
+                entry.wan_rounds, entry.scenario, entry.epoch_plan,
+                entry.epoch_index, entry.recorded_at,
+                entry.fidelity_status,
+                json.dumps(entry.fidelity_counts, sort_keys=True),
+                json.dumps(entry.timings, sort_keys=True),
+                entry.rss_high_water_kib,
+                json.dumps(entry.digests, sort_keys=True),
+                entry.metrics_digest,
+                json.dumps(entry.extra, sort_keys=True, default=str),
+            ),
+        )
+
+    # -- run and series queries ----------------------------------------
 
     def runs(
         self,
@@ -470,9 +588,7 @@ class RunRepository:
         if limit is not None:
             sql += " LIMIT ?"
             params.append(limit)
-        with self._lock:
-            rows = self._conn.execute(sql, params).fetchall()
-        return [self._run_from_row(row) for row in rows]
+        return [self._run_from_row(row) for row in self._query(sql, params)]
 
     @staticmethod
     def _run_from_row(row) -> RunRecord:
@@ -486,12 +602,9 @@ class RunRepository:
         )
 
     def get_run(self, run_id: str) -> RunRecord:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM runs WHERE run_id = ?", (run_id,)
-            ).fetchone()
-        if row is not None:
-            return self._run_from_row(row)
+        rows = self._query("SELECT * FROM runs WHERE run_id = ?", (run_id,))
+        if rows:
+            return self._run_from_row(rows[0])
         # The index is only a cache — fall back to disk before
         # declaring the run unknown (and index it for next time).
         run_dir = self.root / run_id
@@ -531,17 +644,16 @@ class RunRepository:
         if limit is not None:
             sql += " LIMIT ?"
             params.append(limit)
-        with self._lock:
-            rows = self._conn.execute(sql, params).fetchall()
-        return [self._series_from_row(row) for row in rows]
+        return [
+            self._series_from_row(row) for row in self._query(sql, params)
+        ]
 
     def _series_from_row(self, row) -> SeriesRecord:
-        with self._lock:
-            links = self._conn.execute(
-                "SELECT run_id FROM series_runs WHERE series_id = ? "
-                "ORDER BY epoch_index",
-                (row[0],),
-            ).fetchall()
+        links = self._query(
+            "SELECT run_id FROM series_runs WHERE series_id = ? "
+            "ORDER BY epoch_index",
+            (row[0],),
+        )
         return SeriesRecord(
             series_id=row[0], path=row[1], schema_version=row[2],
             plan=row[3], epochs=row[4], seed=row[5], domains=row[6],
@@ -550,12 +662,11 @@ class RunRepository:
         )
 
     def get_series(self, series_id: str) -> SeriesRecord:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM series WHERE series_id = ?", (series_id,)
-            ).fetchone()
-        if row is not None:
-            return self._series_from_row(row)
+        rows = self._query(
+            "SELECT * FROM series WHERE series_id = ?", (series_id,)
+        )
+        if rows:
+            return self._series_from_row(rows[0])
         series_dir = self.root / series_id
         if series_dir.is_dir():
             try:
@@ -569,12 +680,90 @@ class RunRepository:
         return load_series(record.path)
 
     def counts(self) -> Dict[str, int]:
-        """Index cardinalities for ``/health`` and ``/metrics``."""
-        with self._lock:
-            runs = self._conn.execute(
-                "SELECT COUNT(*) FROM runs"
-            ).fetchone()[0]
-            series = self._conn.execute(
-                "SELECT COUNT(*) FROM series"
-            ).fetchone()[0]
+        """Run and series cardinalities for ``/health`` and
+        ``/metrics``."""
+        ((runs, series),) = self._query(
+            "SELECT (SELECT COUNT(*) FROM runs), "
+            "(SELECT COUNT(*) FROM series)"
+        )
         return {"runs": runs, "series": series}
+
+    # -- timeline queries ----------------------------------------------
+
+    @staticmethod
+    def _entry_from_row(row) -> TimelineEntry:
+        return TimelineEntry(
+            entry_id=row[0], source=row[1], origin=row[2],
+            position=row[3], series_key=row[4], fingerprint=row[5],
+            scale=row[6], seed=row[7], domains=row[8],
+            wan_rounds=row[9], scenario=row[10], epoch_plan=row[11],
+            epoch_index=row[12], recorded_at=row[13],
+            fidelity_status=row[14],
+            fidelity_counts=json.loads(row[15]),
+            timings=json.loads(row[16]),
+            rss_high_water_kib=row[17],
+            digests=json.loads(row[18]),
+            metrics_digest=row[19],
+            extra=json.loads(row[20]),
+        )
+
+    def entries(
+        self,
+        source: Optional[str] = None,
+        series_key: Optional[str] = None,
+        scale: Optional[str] = None,
+        scenario: Optional[str] = None,
+        fingerprint: Optional[str] = None,
+        limit: Optional[int] = None,
+    ) -> List[TimelineEntry]:
+        """Timeline entries matching every given filter, trajectory
+        order (recorded_at, then position, then id — deterministic
+        given the same files on disk)."""
+        clauses, params = [], []
+        for column, value in (
+            ("source", source), ("series_key", series_key),
+            ("scale", scale), ("scenario", scenario),
+            ("fingerprint", fingerprint),
+        ):
+            if value is not None:
+                clauses.append(f"{column} = ?")
+                params.append(value)
+        sql = "SELECT * FROM entries"
+        if clauses:
+            sql += " WHERE " + " AND ".join(clauses)
+        sql += " ORDER BY recorded_at, position, entry_id"
+        if limit is not None:
+            sql += " LIMIT ?"
+            params.append(limit)
+        return [
+            self._entry_from_row(row) for row in self._query(sql, params)
+        ]
+
+    def series_keys(self) -> List[str]:
+        """Every distinct trajectory, ordered by each one's first
+        entry (so reports list stable, oldest-first sections)."""
+        rows = self._query(
+            "SELECT series_key, MIN(recorded_at), MIN(entry_id) "
+            "FROM entries GROUP BY series_key "
+            "ORDER BY 2, 3"
+        )
+        return [row[0] for row in rows]
+
+    def trajectory(self, series_key: str) -> List[TimelineEntry]:
+        """One config's entries, oldest first."""
+        return self.entries(series_key=series_key)
+
+    def timeline_counts(self) -> Dict[str, int]:
+        """Timeline cardinalities for ``/health`` and ``/metrics``."""
+        by_source = dict(self._query(
+            "SELECT source, COUNT(*) FROM entries GROUP BY source"
+        ))
+        ((series,),) = self._query(
+            "SELECT COUNT(DISTINCT series_key) FROM entries"
+        )
+        return {
+            "entries": sum(by_source.values()),
+            "run_entries": int(by_source.get("run", 0)),
+            "bench_entries": int(by_source.get("bench", 0)),
+            "series_keys": series,
+        }

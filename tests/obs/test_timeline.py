@@ -1,16 +1,15 @@
-"""The telemetry timeline store: extraction, trajectories, and the
-pure-cache contract."""
+"""The telemetry timeline: extraction, trajectories, and the
+pure-cache contract of the catalog that stores it."""
 
 import json
+import shutil
 import sqlite3
 
 import pytest
 
-from repro.obs.timeline import (
-    TIMELINE_FILENAME,
-    TimelineStore,
-    entries_from_bench_file,
-)
+from repro.obs.timeline import entries_from_bench_file
+from repro.service.repository import INDEX_FILENAME, RunRepository
+from tests.service.conftest import populated_root, repo_root  # noqa: F401
 
 
 def _bench_payload(**overrides):
@@ -95,7 +94,7 @@ def test_unstamped_positions_never_outrank_stamped_ones(tmp_path):
     path.write_text(json.dumps(payload))
     entries = entries_from_bench_file(path)
     assert entries[0].recorded_at <= entries[1].recorded_at
-    with TimelineStore(tmp_path / "root", bench_paths=[path]) as store:
+    with RunRepository(tmp_path / "root", bench_paths=[path]) as store:
         store.scan()
         (key,) = store.series_keys()
         assert [e.position for e in store.trajectory(key)] == [0, 1]
@@ -108,39 +107,78 @@ def test_non_bench_json_is_rejected(tmp_path):
         entries_from_bench_file(path)
 
 
+def test_bench_series_key_separates_worker_counts(tmp_path):
+    """A --workers 2 bench is another setup, not a drifted point on
+    the sequential trajectory."""
+    keys = set()
+    for workers in (0, 2):
+        payload = _bench_payload()
+        payload["bench"]["workers"] = workers
+        path = tmp_path / f"BENCH_w{workers}.json"
+        path.write_text(json.dumps(payload))
+        keys |= {e.series_key for e in entries_from_bench_file(path)}
+    assert len(keys) == 2
+
+
+def test_timeline_store_name_resolves_to_the_catalog():
+    from repro.obs.timeline import TimelineStore
+
+    assert TimelineStore is RunRepository
+
+
 def test_scan_indexes_root_bench_products(tmp_path, bench_file):
     bench_dir = tmp_path / "root" / "bench"
     bench_dir.mkdir(parents=True)
     (bench_dir / "job-0.json").write_text(json.dumps(_bench_payload()))
     # Sentinel verdicts next to bench output are never timeline input.
     (bench_dir / "job-0.regressions.json").write_text("{}")
-    with TimelineStore(
+    with RunRepository(
         tmp_path / "root", bench_paths=[bench_file]
     ) as store:
         report = store.scan()
         assert report.benches == 2
         assert report.entries == 4
         assert report.skipped == []
-        counts = store.counts()
+        counts = store.timeline_counts()
         assert counts["bench_entries"] == 4
         assert counts["run_entries"] == 0
 
 
-def test_scan_drops_rows_for_vanished_sources(tmp_path):
-    root = tmp_path / "root"
-    bench_dir = root / "bench"
-    bench_dir.mkdir(parents=True)
+def _catalog(repository):
+    """Every run, series, and timeline answer, as plain data."""
+    return {
+        "runs": [r.as_dict() for r in repository.runs()],
+        "series": [r.as_dict() for r in repository.series()],
+        "entries": [e.as_dict() for e in repository.entries()],
+    }
+
+
+def test_scan_drops_rows_for_vanished_sources(repo_root):
+    bench_dir = repo_root / "bench"
+    bench_dir.mkdir()
     product = bench_dir / "job-0.json"
     product.write_text(json.dumps(_bench_payload()))
-    with TimelineStore(root) as store:
-        assert store.scan().entries == 2
+    with RunRepository(repo_root) as store:
+        report = store.scan()
+        assert (report.runs, report.series, report.entries) == (4, 1, 6)
+        (series,) = store.series()
+        gone = store.runs(scenario="ec2.us-east-1-outage")[0].run_id
         product.unlink()
-        assert store.scan().entries == 0
-        assert store.entries() == []
+        shutil.rmtree(repo_root / gone)
+        shutil.rmtree(repo_root / series.series_id)
+        report = store.scan()
+        assert (report.runs, report.series, report.entries) == (3, 0, 3)
+        catalog = _catalog(store)
+    assert gone not in {r["run_id"] for r in catalog["runs"]}
+    assert catalog["series"] == []
+    assert {e["source"] for e in catalog["entries"]} == {"run"}
+    assert sorted(e["extra"]["run_id"] for e in catalog["entries"]) == [
+        r["run_id"] for r in catalog["runs"]
+    ]
 
 
 def test_trajectory_orders_by_recorded_at(tmp_path, bench_file):
-    with TimelineStore(tmp_path / "root", bench_paths=[bench_file]) as s:
+    with RunRepository(tmp_path / "root", bench_paths=[bench_file]) as s:
         s.scan()
         (key,) = s.series_keys()
         trajectory = s.trajectory(key)
@@ -148,18 +186,18 @@ def test_trajectory_orders_by_recorded_at(tmp_path, bench_file):
 
 
 def test_record_bench_is_incremental(tmp_path, bench_file):
-    with TimelineStore(tmp_path / "root") as store:
-        assert store.counts()["entries"] == 0
+    with RunRepository(tmp_path / "root") as store:
+        assert store.timeline_counts()["entries"] == 0
         entries = store.record_bench(bench_file)
         assert len(entries) == 2
-        assert store.counts()["entries"] == 2
+        assert store.timeline_counts()["entries"] == 2
         # Re-recording the same file is idempotent.
         store.record_bench(bench_file)
-        assert store.counts()["entries"] == 2
+        assert store.timeline_counts()["entries"] == 2
 
 
 def test_entries_filters(tmp_path, bench_file):
-    with TimelineStore(tmp_path / "root", bench_paths=[bench_file]) as s:
+    with RunRepository(tmp_path / "root", bench_paths=[bench_file]) as s:
         s.scan()
         assert len(s.entries(source="bench")) == 2
         assert s.entries(source="run") == []
@@ -167,53 +205,20 @@ def test_entries_filters(tmp_path, bench_file):
         assert len(s.entries(limit=1)) == 1
 
 
-def test_pure_cache_rebuild_is_query_identical(tmp_path, bench_file):
-    """Delete the SQLite file, rebuild, identical entries — the
-    tentpole contract."""
-    root = tmp_path / "root"
-    with TimelineStore(root, bench_paths=[bench_file]) as store:
+def test_schema_bump_invalidates(repo_root, bench_file):
+    with RunRepository(repo_root, bench_paths=[bench_file]) as store:
         store.scan()
-        before = [e.as_dict() for e in store.entries()]
-        assert before
-        store.db_path.unlink()
-        store.rebuild()
-        assert [e.as_dict() for e in store.entries()] == before
-
-
-def test_corrupt_store_recovers(tmp_path, bench_file):
-    root = tmp_path / "root"
-    with TimelineStore(root, bench_paths=[bench_file]) as store:
-        store.scan()
-        before = [e.as_dict() for e in store.entries()]
-        store.close()
-    (root / TIMELINE_FILENAME).write_bytes(b"garbage, not sqlite")
-    with TimelineStore(root, bench_paths=[bench_file]) as store:
-        store.scan()
-        assert [e.as_dict() for e in store.entries()] == before
-
-
-def test_schema_bump_invalidates(tmp_path, bench_file):
-    root = tmp_path / "root"
-    with TimelineStore(root, bench_paths=[bench_file]) as store:
-        store.scan()
-        store.close()
-    db = root / TIMELINE_FILENAME
-    conn = sqlite3.connect(db)
+        before = _catalog(store)
+    assert all(before.values())
+    conn = sqlite3.connect(repo_root / INDEX_FILENAME)
     conn.execute(
-        "UPDATE meta SET value = '999' WHERE key = 'timeline_schema'"
+        "UPDATE meta SET value = '999' WHERE key = 'index_schema'"
     )
     conn.commit()
     conn.close()
-    with TimelineStore(root) as store:
-        # Old-schema rows were dropped with the store.
-        assert store.counts()["entries"] == 0
-
-
-def test_deleted_store_file_reconnects_midlife(tmp_path, bench_file):
-    with TimelineStore(tmp_path / "root") as store:
-        store.record_bench(bench_file)
-        store.db_path.unlink()
-        # Queries keep working against a fresh (empty) store.
-        assert store.entries() == []
-        store.record_bench(bench_file)
-        assert store.counts()["entries"] == 2
+    with RunRepository(repo_root, bench_paths=[bench_file]) as store:
+        # Old-schema rows were dropped with the file ...
+        assert _catalog(store) == {"runs": [], "series": [], "entries": []}
+        # ... and come back from disk.
+        store.scan()
+        assert _catalog(store) == before

@@ -189,4 +189,9 @@ def test_scan_route(tmp_path):
         api = ServiceAPI(repository)
         status, _, report = api.handle("POST", "/scan", None)
         assert status == 200
-        assert report == {"runs": 0, "series": 0, "skipped": []}
+        assert report == {
+            "runs": 0, "series": 0, "skipped": [],
+            "timeline": {
+                "entries": 0, "runs": 0, "benches": 0, "skipped": [],
+            },
+        }

@@ -12,7 +12,10 @@ import pytest
 from repro.service.client import ServiceClient
 from repro.service.daemon import ReproService
 from repro.service.errors import ServiceError
+from repro.service.jobs import Scheduler
+from repro.service.repository import RunRepository
 from tests.service.conftest import DOMAINS, SEED, WAN_ROUNDS
+from tests.service.test_jobs import tiny_spec
 
 
 @pytest.fixture()
@@ -63,3 +66,33 @@ def test_client_maps_unreachable_daemons_to_service_errors():
     client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
     with pytest.raises(ServiceError, match="cannot reach"):
         client.health()
+
+
+def _restarted(root, max_attempts=1):
+    """A daemon started over ``root`` but never serving."""
+    service = ReproService(
+        root, port=0, max_attempts=max_attempts, access_log=False
+    )
+    service.server.server_close()
+    return service
+
+
+def test_restart_fails_the_job_a_dead_daemon_left_running(tmp_path):
+    root = tmp_path / "svc"
+    with RunRepository(root) as repository:
+        scheduler = Scheduler(repository)
+        job = scheduler.submit(tiny_spec())
+        assert scheduler.claim_next().status == "running"
+    # The claiming daemon died mid-job, as a SIGKILL would leave it.
+    service = _restarted(root)
+    (record,) = service.scheduler.jobs()
+    assert record.status == "failed"
+    assert "interrupted" in record.error
+    assert record.attempts == 1
+    assert service.scheduler.claim_next() is None  # budget spent
+    service.repository.close()
+    # With a retry budget the interrupted job is claimed again.
+    service = _restarted(root, max_attempts=2)
+    claimed = service.scheduler.claim_next()
+    assert (claimed.job_id, claimed.attempts) == (job.job_id, 2)
+    service.repository.close()

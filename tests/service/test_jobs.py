@@ -121,6 +121,36 @@ def test_execution_failure_marks_the_job_failed(scheduler, monkeypatch):
     assert record.finished_at is not None
 
 
+def test_idle_claim_parses_each_job_file_once(scheduler, monkeypatch):
+    monkeypatch.setattr(
+        scheduler, "_execute_run",
+        lambda spec: (_ for _ in ()).throw(RuntimeError("down")),
+    )
+    scheduler.submit(tiny_spec())
+    scheduler.submit(tiny_spec(seed=SEED + 1))
+    assert scheduler.run_pending() == 2  # nothing pending from here on
+    parsed = []
+    from_dict = JobRecord.from_dict.__func__
+
+    def counting(cls, payload):
+        parsed.append(payload)
+        return from_dict(cls, payload)
+
+    monkeypatch.setattr(JobRecord, "from_dict", classmethod(counting))
+    assert scheduler.claim_next() is None
+    assert len(parsed) == 2
+
+
+def test_run_job_lands_in_the_timeline_without_a_rescan(scheduler):
+    """A scheduler given only the catalog still records telemetry: the
+    run's timeline entry is written with its run row."""
+    scheduler.submit(tiny_spec(domains=120, wan_rounds=1))
+    assert scheduler.run_pending() == 1
+    (record,) = scheduler.jobs(status="completed")
+    (entry,) = scheduler.repository.entries(source="run")
+    assert entry.extra["run_id"] == record.outcome["run_id"]
+
+
 def test_run_job_reproduces_the_cli_run(scheduler, populated_root):
     # The fixture's healthy single-shot run: same config, produced by
     # the classic `repro-experiments --out-dir` path.

@@ -1,8 +1,9 @@
-"""Repository-layer tests: the SQLite index is a pure cache.
+"""Repository-layer tests: the SQLite catalog is a pure cache.
 
 The load-bearing invariant: deleting the index and re-scanning the
-same tree must answer every query identically, and corrupt or partial
-run directories are skipped with a warning, never raised.
+same tree must answer every query — runs, series, and timeline
+entries — identically, and corrupt or partial run directories are
+skipped with a warning, never raised.
 """
 
 import json
@@ -10,19 +11,33 @@ import logging
 
 import pytest
 
+import repro.experiments.manifest as manifest_module
 from repro.service.errors import UnknownRunError, UnknownSeriesError
 from repro.service.repository import INDEX_FILENAME, RunRepository
+from tests.obs.test_timeline import _bench_payload, _catalog
 from tests.service.conftest import (
     DOMAINS,
     SCENARIO,
     SEED,
     healthy_and_drilled,
+    run_ids,
 )
 
 
 @pytest.fixture()
-def repository(repo_root):
-    with RunRepository(repo_root) as repository:
+def catalog_root(repo_root):
+    """The fixture tree plus one bench product, so every table of the
+    catalog has rows."""
+    (repo_root / "bench").mkdir()
+    (repo_root / "bench" / "job-0.json").write_text(
+        json.dumps(_bench_payload())
+    )
+    return repo_root
+
+
+@pytest.fixture()
+def repository(catalog_root):
+    with RunRepository(catalog_root) as repository:
         repository.scan()
         yield repository
 
@@ -30,6 +45,8 @@ def repository(repo_root):
 def _snapshot(repository):
     """Every query answer the index can give, as plain data."""
     return {
+        "entries": [e.as_dict() for e in repository.entries()],
+        "timeline_counts": repository.timeline_counts(),
         "runs": [r.as_dict() for r in repository.runs()],
         "by_scenario": [
             r.as_dict() for r in repository.runs(scenario=SCENARIO)
@@ -82,40 +99,67 @@ def test_series_queries(repository):
     assert payload["series_id"] == series.series_id
 
 
+def _empty(repository):
+    return not any(_catalog(repository).values())
+
+
 def test_rebuild_is_lossless(repository):
     before = _snapshot(repository)
+    # Runs, series, and both entry sources are all under test.
+    assert before["timeline_counts"]["run_entries"] == 4
+    assert before["timeline_counts"]["bench_entries"] == 2
+    assert before["series"]
     report = repository.rebuild()
-    assert report.runs == 4 and report.series == 1
+    assert (report.runs, report.series, report.entries) == (4, 1, 6)
     assert not report.skipped
     assert _snapshot(repository) == before
 
 
 def test_index_deleted_underneath_a_live_repository(repository):
     """The index file can vanish while the daemon holds a connection
-    (it is only a cache) — the next scan must recreate it instead of
-    failing on SQLite's read-only-database error."""
+    (it is only a cache) — queries keep working against a fresh index
+    instead of failing on SQLite's read-only-database error, and the
+    next scan refills it."""
     before = _snapshot(repository)
     index = repository.db_path
     assert index.name == INDEX_FILENAME
     index.unlink()
+    assert _empty(repository)
+    assert index.exists()
     report = repository.scan()
     assert report.runs == 4
-    assert index.exists()
     assert _snapshot(repository) == before
 
 
-def test_corrupt_index_is_dropped_and_rebuilt(repo_root):
+def test_corrupt_index_is_dropped_and_rebuilt(catalog_root):
     """A garbage index file must not stop the daemon from starting:
     the repository drops it and a scan rebuilds it losslessly."""
-    with RunRepository(repo_root) as first:
+    with RunRepository(catalog_root) as first:
         first.scan()
         before = _snapshot(first)
-    (repo_root / INDEX_FILENAME).write_bytes(b"not a database" * 100)
-    with RunRepository(repo_root) as second:
-        assert second.runs() == []
+    (catalog_root / INDEX_FILENAME).write_bytes(b"not a database" * 100)
+    with RunRepository(catalog_root) as second:
+        assert _empty(second)
         report = second.scan()
         assert report.runs == 4
         assert _snapshot(second) == before
+
+
+def test_scan_reads_each_run_dir_once(repository, monkeypatch):
+    """One scan fills the run rows and the timeline entries from a
+    single read of every run directory."""
+    loaded = []
+    load = manifest_module.load_manifest
+
+    def counting(path):
+        loaded.append(path)
+        return load(path)
+
+    monkeypatch.setattr(manifest_module, "load_manifest", counting)
+    assert repository.scan().runs == 4
+    assert sorted(path.name for path in loaded) == run_ids(
+        repository.root
+    )
 
 
 def test_fresh_repository_over_existing_index(repo_root):

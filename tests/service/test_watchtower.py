@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.obs.events import EventSink
-from repro.obs.timeline import TimelineStore
 from repro.service.api import ServiceAPI
 from repro.service.jobs import JobRecord, Scheduler
 from repro.service.repository import RunRepository
@@ -24,8 +23,8 @@ def repository(tmp_path):
 
 @pytest.fixture()
 def timeline(repository):
-    with TimelineStore(repository.root) as timeline:
-        yield timeline
+    """The catalog holds the timeline entries too."""
+    return repository
 
 
 def _seed_bench(timeline):
@@ -131,7 +130,7 @@ def test_submit_over_http_propagates_the_request_id(repository):
 
 
 def test_run_job_stamps_provenance_into_timings(repository, timeline):
-    scheduler = Scheduler(repository, timeline=timeline)
+    scheduler = Scheduler(repository)
     spec = tiny_spec(domains=120, wan_rounds=1)
     scheduler.submit(spec, request_id="req-prov")
     assert scheduler.run_pending() == 1
@@ -188,17 +187,9 @@ def test_access_log_tee_is_valid_ndjson(repository, tmp_path):
 # -- /timeline and /dashboard ------------------------------------------
 
 
-def test_timeline_routes_503_without_a_store(repository):
-    api = ServiceAPI(repository)
-    for path in ("/timeline", "/timeline/series", "/dashboard"):
-        status, _, payload = api.handle("GET", path, None)
-        assert status == 503
-        assert "timeline" in payload["error"]
-
-
 def test_timeline_route_serves_filtered_entries(repository, timeline):
     _seed_bench(timeline)
-    api = ServiceAPI(repository, timeline=timeline)
+    api = ServiceAPI(repository)
     status, _, payload = api.handle("GET", "/timeline", None)
     assert status == 200
     assert len(payload["entries"]) == 2
@@ -221,7 +212,7 @@ def test_timeline_route_serves_filtered_entries(repository, timeline):
 
 def test_dashboard_renders_html_and_text(repository, timeline):
     _seed_bench(timeline)
-    api = ServiceAPI(repository, timeline=timeline)
+    api = ServiceAPI(repository)
     status, content_type, html = api.handle("GET", "/dashboard", None)
     assert status == 200
     assert content_type == "text/html"
@@ -238,7 +229,7 @@ def test_health_carries_versions_and_timeline_counts(
     repository, timeline
 ):
     _seed_bench(timeline)
-    api = ServiceAPI(repository, timeline=timeline)
+    api = ServiceAPI(repository)
     status, _, payload = api.handle("GET", "/health", None)
     assert status == 200
     assert isinstance(payload["schema_version"], int)
@@ -249,7 +240,7 @@ def test_health_carries_versions_and_timeline_counts(
 
 
 def test_scan_route_rescans_the_timeline_too(repository, timeline):
-    api = ServiceAPI(repository, timeline=timeline)
+    api = ServiceAPI(repository)
     (timeline.root / "bench").mkdir(exist_ok=True)
     (timeline.root / "bench" / "job-x-000.json").write_text(
         json.dumps(_bench_payload())
@@ -257,16 +248,16 @@ def test_scan_route_rescans_the_timeline_too(repository, timeline):
     status, _, payload = api.handle("POST", "/scan", None)
     assert status == 200
     assert payload["timeline"]["entries"] == 2
-    assert timeline.counts()["bench_entries"] == 2
+    assert timeline.timeline_counts()["bench_entries"] == 2
 
 
 def test_metrics_expose_queue_and_timeline_gauges(
     repository, timeline
 ):
     _seed_bench(timeline)
-    scheduler = Scheduler(repository, timeline=timeline)
+    scheduler = Scheduler(repository)
     scheduler.submit(tiny_spec())
-    api = ServiceAPI(repository, scheduler=scheduler, timeline=timeline)
+    api = ServiceAPI(repository, scheduler=scheduler)
     # Latency histograms record after a response renders, so the
     # first scrape only sees earlier requests.
     api.handle("GET", "/health", None)

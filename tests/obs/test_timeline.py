@@ -205,6 +205,38 @@ def test_entries_filters(tmp_path, bench_file):
         assert len(s.entries(limit=1)) == 1
 
 
+def test_pure_cache_rebuild_is_query_identical(tmp_path, bench_file):
+    """Delete the catalog file, rebuild, identical entries."""
+    with RunRepository(tmp_path / "root", bench_paths=[bench_file]) as s:
+        s.scan()
+        before = [e.as_dict() for e in s.entries()]
+        assert before
+        s.db_path.unlink()
+        s.rebuild()
+        assert [e.as_dict() for e in s.entries()] == before
+
+
+def test_corrupt_store_recovers(tmp_path, bench_file):
+    root = tmp_path / "root"
+    with RunRepository(root, bench_paths=[bench_file]) as store:
+        store.scan()
+        before = [e.as_dict() for e in store.entries()]
+    (root / INDEX_FILENAME).write_bytes(b"garbage, not sqlite")
+    with RunRepository(root, bench_paths=[bench_file]) as store:
+        store.scan()
+        assert [e.as_dict() for e in store.entries()] == before
+
+
+def test_deleted_store_file_reconnects_midlife(tmp_path, bench_file):
+    with RunRepository(tmp_path / "root") as store:
+        store.record_bench(bench_file)
+        store.db_path.unlink()
+        # Queries keep working against a fresh (empty) catalog.
+        assert store.entries() == []
+        store.record_bench(bench_file)
+        assert store.timeline_counts()["entries"] == 2
+
+
 def test_schema_bump_invalidates(repo_root, bench_file):
     with RunRepository(repo_root, bench_paths=[bench_file]) as store:
         store.scan()

@@ -12,10 +12,8 @@ bit-identical results as well as speed.  Usage:
     PYTHONPATH=src python scripts/profile_pipeline.py \
         [--scale seed|mid|paper] \
         [--seed S] [--domains N] [--wan-rounds R] [--workers W] \
-        [--clients C] [--chunk-size N] [--no-streaming] \
-        [--max-rss-mib M] \
+        [--clients C] [--chunk-size N] [--max-rss-mib M] \
         [--verify-workers "0,2,4"] [--repeat K] \
-        [--no-columnar | --compare-scalar] \
         [--cache-dir DIR | --no-cache-check] \
         [--epochs N] [--epoch-plan NAME] [--out BENCH_pipeline.json]
 
@@ -27,18 +25,18 @@ tier also scales the campus capture (client population, flow and byte
 budgets; the seed tier keeps the committed defaults so its digests
 hold); ``--clients`` overrides the tier's client count.
 ``--workers`` drives both parallel campaigns (dataset shards and WAN
-rounds).  The streaming data plane (deferred world + chunked dataset
-build + one-pass capture analysis; see docs/PERFORMANCE.md) is on by
-default and produces bit-identical digests; ``--no-streaming`` forces
-the batch paths, ``--chunk-size`` bounds the ranks materialized per
-streaming chunk, and ``--max-rss-mib`` fails the run when the
-process's true peak RSS exceeds the budget (the CI memory gate).  ``--verify-workers`` re-runs the whole pipeline per worker
-count and fails unless every digest agrees.  ``--no-columnar`` runs
-the whole pipeline with the columnar data plane disabled (the scalar
-reference paths); ``--compare-scalar`` additionally runs that scalar
-pipeline after the main one, fails unless every digest is identical,
-and records per-stage scalar-vs-columnar speedups.  Unless
-``--no-cache-check`` is given, the script also runs the pipeline twice
+rounds).  The pipeline runs the columnar and streaming data planes
+(deferred world + chunked dataset build + one-pass capture analysis;
+see docs/PERFORMANCE.md); only a platform without ``fork`` falls back
+to the batch paths, with bit-identical digests.  ``--chunk-size``
+bounds the ranks materialized per streaming chunk, and
+``--max-rss-mib`` fails the run when the process's true peak RSS
+exceeds the budget (the CI memory gate).  ``--verify-workers`` re-runs
+the whole pipeline per worker count and fails unless every digest
+agrees; ``--baseline FILE --require-baseline-identical`` fails unless
+every digest equals an earlier report's (the CI gates pin the
+committed bench files this way).  Unless ``--no-cache-check`` is
+given, the script also runs the pipeline twice
 through the artifact cache — a cold run that populates it and a warm
 run that must be served entirely from it — and fails unless both match
 the uncached digests.
@@ -86,7 +84,7 @@ from repro.artifacts import ArtifactStore
 from repro.artifacts.keys import code_fingerprint
 from repro.capture.generator import CaptureConfig
 from repro.experiments.context import ExperimentContext
-from repro.flags import set_chunk_size, set_columnar_enabled
+from repro.flags import set_chunk_size
 from repro.obs import Observability
 from repro.sim import fork_pool_available, set_rng_observer
 from repro.world import World, WorldConfig
@@ -194,9 +192,9 @@ def _wan_digests(wan: WanAnalysis) -> dict:
 
 
 def _trace_digest(trace) -> dict:
-    # len()/total_bytes() are columnar-reduction methods on a
-    # ColumnarTrace and plain loops on a scalar Trace; the values (and
-    # so the digest) are identical, without materializing row objects.
+    # len()/total_bytes() are column reductions on a ColumnarTrace and
+    # running totals on a streaming summary; the values (and so the
+    # digest) are identical, without materializing row objects.
     return {"trace": _digest((len(trace), trace.total_bytes()))}
 
 
@@ -218,22 +216,19 @@ def _isp_digest(isp: dict) -> dict:
 
 def run_once(
     seed: int, domains: int, wan_rounds: int, workers: int,
-    collect_events: bool = False, columnar: bool = True,
-    streaming: bool = True, capture: CaptureConfig = None,
+    collect_events: bool = False, capture: CaptureConfig = None,
 ) -> dict:
     """One full pipeline run: tracer-derived stage timings plus output
     digests (and the run's :class:`~repro.obs.Observability` plane).
 
-    ``columnar=False`` forces the scalar reference paths and
-    ``streaming=False`` the batch data plane (a fully built world) for
-    the whole run — outputs must be bit-identical any way around.  A
-    live event sink changes neither: the streaming paths produce the
+    The streaming data plane needs ``fork``; without it the run builds
+    a full world and trace instead, with bit-identical outputs.  A live
+    event sink changes nothing either: the streaming paths produce the
     batch event log byte for byte."""
     obs = Observability.collecting(events=collect_events)
     tracer = obs.tracer
     previous_observer = obs.install_rng_counter()
-    previous_columnar = set_columnar_enabled(columnar)
-    use_stream = streaming and fork_pool_available()
+    use_stream = fork_pool_available()
     config = WorldConfig(
         seed=seed, num_domains=domains,
         capture=capture if capture is not None else CaptureConfig(),
@@ -270,7 +265,6 @@ def run_once(
         with stage("traceroute"):
             isp = wan.isp_diversity()
     finally:
-        set_columnar_enabled(previous_columnar)
         set_rng_observer(previous_observer)
 
     timings = {
@@ -534,11 +528,6 @@ def main() -> int:
              "output bytes are chunk-size-invariant)",
     )
     parser.add_argument(
-        "--no-streaming", action="store_true",
-        help="force the batch data plane (materialized world, "
-             "all-at-once dataset build, full capture trace)",
-    )
-    parser.add_argument(
         "--max-rss-mib", type=int, default=None,
         help="fail if the process's peak RSS (VmHWM, covering every "
              "run in this invocation) exceeds this budget",
@@ -571,15 +560,6 @@ def main() -> int:
     parser.add_argument(
         "--epoch-plan", default="steady-growth", metavar="NAME",
         help="named epoch plan for --epochs (see repro.epochs.plan)",
-    )
-    parser.add_argument(
-        "--no-columnar", action="store_true",
-        help="disable the columnar data plane (scalar reference paths)",
-    )
-    parser.add_argument(
-        "--compare-scalar", action="store_true",
-        help="also run the scalar pipeline, fail unless its digests "
-             "match, and record per-stage speedups",
     )
     parser.add_argument(
         "--out", default=None,
@@ -615,13 +595,9 @@ def main() -> int:
         args.domains = SCALES[args.scale]["domains"]
     if args.out is None:
         args.out = SCALES[args.scale]["out"]
-    if args.no_columnar and args.compare_scalar:
-        parser.error("--compare-scalar is meaningless with --no-columnar")
     if args.epochs is not None and args.epochs < 1:
         parser.error("--epochs needs at least 1 epoch")
 
-    columnar = not args.no_columnar
-    streaming = not args.no_streaming
     collect_events = bool(args.events_out)
     capture_kwargs = dict(SCALES[args.scale].get("capture", {}))
     if args.clients is not None:
@@ -632,8 +608,7 @@ def main() -> int:
     runs = [
         run_once(
             args.seed, args.domains, args.wan_rounds, args.workers,
-            collect_events=collect_events, columnar=columnar,
-            streaming=streaming, capture=capture,
+            collect_events=collect_events, capture=capture,
         )
         for _ in range(args.repeat)
     ]
@@ -711,7 +686,9 @@ def main() -> int:
             "wan_rounds": args.wan_rounds,
             "workers": args.workers,
             "repeat": args.repeat,
-            "columnar": columnar,
+            # The columnar plane has no switch; the field stays because
+            # the timeline series key (repro.obs.timeline) includes it.
+            "columnar": True,
             "streaming": runs[0]["streaming"],
             "capture_clients": capture.num_clients,
             "capture_flows": capture.total_flows,
@@ -729,31 +706,6 @@ def main() -> int:
         "trajectory": trajectory,
     }
 
-    if args.compare_scalar:
-        scalar = run_once(
-            args.seed, args.domains, args.wan_rounds, args.workers,
-            collect_events=collect_events, columnar=False,
-            streaming=streaming, capture=capture,
-        )
-        if scalar["digests"] != digests:
-            raise SystemExit(
-                "scalar pipeline digests differ from columnar: "
-                f"{scalar['digests']} vs {digests}"
-            )
-        scalar_times = {
-            key: round(value, 3)
-            for key, value in scalar["timings"].items()
-        }
-        report["scalar_comparison"] = {
-            "timings_s": scalar_times,
-            "outputs_identical": True,
-            "speedup": {
-                key: round(scalar["timings"][key] / best[key], 2)
-                for key in best
-                if best[key] > 0
-            },
-        }
-
     if args.verify_workers:
         counts = [int(part) for part in args.verify_workers.split(",")]
         for count in counts:
@@ -761,8 +713,7 @@ def main() -> int:
                 continue
             other = run_once(
                 args.seed, args.domains, args.wan_rounds, count,
-                collect_events=collect_events, columnar=columnar,
-                streaming=streaming, capture=capture,
+                collect_events=collect_events, capture=capture,
             )
             if other["digests"] != digests:
                 raise SystemExit(
@@ -827,8 +778,8 @@ def main() -> int:
 
     if args.max_rss_mib is not None:
         # Gate on the process-lifetime high-water mark sampled *now*,
-        # so every run this invocation made (repeats, scalar
-        # comparison, worker verification) counts against the budget.
+        # so every run this invocation made (repeats, worker
+        # verification) counts against the budget.
         # The bench JSON is already on disk for CI artifact upload.
         _, high_water_kib = _rss_sample()
         budget_kib = args.max_rss_mib * 1024

@@ -27,7 +27,6 @@ from repro.campaign.probes import DnsLookupCampaign
 from repro.dns.enumeration import SubdomainEnumerator
 from repro.dns.records import RRType
 from repro.faults.scenarios import OutageScenario
-from repro.flags import columnar_runtime_enabled
 from repro.net.ipv4 import IPv4Address
 from repro.net.prefixset import PrefixSet
 from repro.obs import NOOP, Observability
@@ -151,9 +150,6 @@ class DatasetBuilder:
             obs=self.obs,
         )
 
-    def _is_cloud_address(self, address: IPv4Address) -> bool:
-        return address in self._cloud_membership
-
     # -- step 1+2: enumerate and filter ------------------------------------
 
     def discover_subdomains(
@@ -207,47 +203,12 @@ class DatasetBuilder:
         ranges, cloudfront_using resolve into CloudFront's range, and
         other_cdn maps domains to subdomains whose CNAME chain names a
         CDN outside the clouds.
-        """
-        fast = self._classify_columnar(discovered)
-        if fast is not None:
-            return fast
-        vantage = self.world.dns_vantages()[0]
-        resolver = self.world.resolver_for(vantage)
-        recorder = self._recorder
-        cloudfront_ranges = self.ranges["cloudfront"]
-        cloud_using: List[Tuple[str, str]] = []
-        cloudfront_using: List[Tuple[str, str]] = []
-        other_cdn: Dict[str, List[str]] = {}
-        for domain, subdomains in discovered.items():
-            for fqdn in subdomains:
-                response = resolver.dig(fqdn)
-                if recorder is not None:
-                    recorder.note_cached_dig(vantage.name, fqdn, response)
-                if any(
-                    self._is_cloud_address(addr)
-                    for addr in response.addresses
-                ):
-                    cloud_using.append((domain, fqdn))
-                elif any(
-                    addr in cloudfront_ranges
-                    for addr in response.addresses
-                ):
-                    cloudfront_using.append((domain, fqdn))
-                elif any("cdn" in cname for cname in response.chain):
-                    other_cdn.setdefault(domain, []).append(fqdn)
-        return cloud_using, cloudfront_using, other_cdn
 
-    def _classify_columnar(self, discovered: Dict[str, List[str]]):
-        """Vectorized :meth:`filter_cloud_using` body, or None.
-
-        Runs the exact same digs in the exact same order (digs write
-        caches and advance rotation counters, so they cannot move),
-        then classifies every answered address in one batched
-        ``searchsorted`` per range table instead of two bisects per
-        address.  Unavailable (None) when the columnar plane is off.
+        One dig per subdomain, in discovery order (digs write caches
+        and advance rotation counters, so they cannot move); then every
+        answered address is classified in one batched ``searchsorted``
+        per range table instead of two bisects per address.
         """
-        if not columnar_runtime_enabled():
-            return None
         import numpy as np
 
         from repro.columnar.dataset import prefix_membership, segment_any
@@ -264,18 +225,14 @@ class DatasetBuilder:
         for domain, subdomains in discovered.items():
             for fqdn in subdomains:
                 # Static fqdns read the shared index memo instead of a
-                # full dig: the values are identical (whether the
-                # scalar dig would have hit the resolver cache or
-                # re-resolved), nothing rotates, the recorder is
-                # provably a no-op, and the skipped cache write is
-                # value-neutral (see the enumeration screening path).
-                memo = (
-                    index.peek(fqdn, RRType.A, resolver)
-                    if index is not None else None
-                )
-                if memo is not None:
+                # full dig: the values are identical (whether the dig
+                # would have hit the resolver cache or re-resolved),
+                # nothing rotates, the recorder is provably a no-op,
+                # and the skipped cache write is value-neutral (see the
+                # enumeration screening path).
+                response = index.peek(fqdn, RRType.A, resolver)
+                if response is not None:
                     n_static += 1
-                    response = memo
                 else:
                     response = resolver.dig(fqdn)
                     if recorder is not None:
@@ -316,16 +273,28 @@ class DatasetBuilder:
     ) -> List[SubdomainRecord]:
         """Dig every cloud-using subdomain from all DNS vantages.
 
-        Runs as a target-major :class:`~repro.campaign.DnsLookupCampaign`
-        through the engine (digs advance rotation counters, so the
-        campaign itself never forks; rank-sliced shard workers run it
-        per slice instead) and folds the probe records into
-        :class:`SubdomainRecord` accumulators.
+        Provably static fqdns collapse to one shared resolution
+        (:meth:`_lookups_columnar`); a live probe-event sink needs the
+        engine's per-probe loop (:meth:`_engine_lookups`).  Both give
+        the same records, counters and rotation state.
         """
         targets = list(cloud_using)
         fast = self._lookups_columnar(targets)
         if fast is not None:
             return fast
+        return self._engine_lookups(targets)
+
+    def _engine_lookups(
+        self, targets: List[Tuple[str, str]]
+    ) -> List[SubdomainRecord]:
+        """:meth:`distributed_lookups` through the measurement engine.
+
+        Runs as a target-major :class:`~repro.campaign.DnsLookupCampaign`
+        (digs advance rotation counters, so the campaign itself never
+        forks; rank-sliced shard workers run it per slice instead) and
+        folds the probe records into :class:`SubdomainRecord`
+        accumulators.
+        """
         campaign = DnsLookupCampaign(
             self.world, targets, recorder=self._recorder
         )
@@ -371,11 +340,9 @@ class DatasetBuilder:
         event sink needs the real per-probe engine loop, so the
         bypass declines (returns None) and the caller falls through.
         """
-        if not columnar_runtime_enabled() or self.obs.events.enabled:
+        if self.obs.events.enabled:
             return None
         index = self.world.dns.static_index
-        if index is None:
-            return None
         start = time.perf_counter()
         vantages = self.world.dns_vantages()
         resolvers = [self.world.resolver_for(v) for v in vantages]

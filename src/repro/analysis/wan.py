@@ -195,23 +195,19 @@ class WanAnalysis:
         )
 
     def _columnar_measure(self) -> bool:
-        """Run the batched matrix fill when it is engine-equivalent.
+        """Run the batched matrix fill unless the input needs the engine.
 
         The columnar path reproduces the plain campaign bit for bit
         (matrices, stream positions, span and deterministic metrics) —
         see :mod:`repro.columnar.wan` — but it does not model outage
         scenarios, non-default probe policies, or per-record event
-        emission, so any of those falls back to the engine.  Worker
-        fan-out is ignored on purpose: the engine's sharding is
+        emission, so any of those leaves the fill to the engine.
+        Worker fan-out is ignored on purpose: the engine's sharding is
         bit-identical to sequential, and the batched fill outruns it.
         """
         if self.scenario is not None or self.obs.events.enabled:
             return False
         if self.policy is not None and not self.policy.is_default:
-            return False
-        from repro.flags import columnar_runtime_enabled
-
-        if not columnar_runtime_enabled():
             return False
         from repro.columnar.wan import measure_columnar
 
@@ -223,16 +219,22 @@ class WanAnalysis:
 
         Keys are (client name, region); values are one sample per
         round: the mean ping RTT (ms) and the measured download rate
-        (KB/s) averaged over the region's instances.  The engine fans
-        the rounds out over ``config.workers`` forked workers; the
-        matrices are bit-identical to a sequential campaign.
+        (KB/s) averaged over the region's instances.
         """
         if self._latency is not None:
             return
-        if self._columnar_measure():
-            if self.on_measured is not None:
-                self.on_measured(self._latency, self._throughput)
-            return
+        if not self._columnar_measure():
+            self._engine_measure()
+        if self.on_measured is not None:
+            self.on_measured(self._latency, self._throughput)
+
+    def _engine_measure(self) -> None:
+        """Fill the matrices from a campaign run through the engine.
+
+        The engine fans the rounds out over ``config.workers`` forked
+        workers; the matrices are bit-identical to a sequential
+        campaign and to the batched columnar fill.
+        """
         campaign = self._campaign()
         result = self._engine().run(campaign, workers=self.config.workers)
         latency: Dict[Tuple[str, str], List[float]] = defaultdict(list)
@@ -270,8 +272,6 @@ class WanAnalysis:
                     )
         self._latency = dict(latency)
         self._throughput = dict(throughput)
-        if self.on_measured is not None:
-            self.on_measured(self._latency, self._throughput)
 
     def latency_series(self, client_name: str, region: str) -> List[float]:
         self._measure()

@@ -13,16 +13,20 @@ subsumes) is:
 * the callable runs over a contiguous index range and results come
   back **in index order**, so merges are deterministic;
 * platforms without ``fork`` fall back to in-process execution, which
-  is bit-identical by construction.
+  is bit-identical by construction;
+* a worker that dies (killed, out of memory, ``os._exit``) fails the
+  fan-out loudly with a :class:`RuntimeError` instead of hanging it.
 
-Only the module-level trampoline is ever pickled by the pool; the work
-callable itself (usually a closure over campaign state) stays in the
-parent's memory image and reaches children through the fork.
+Only the module-level trampoline is ever pickled by the executor; the
+work callable itself (usually a closure over campaign state) stays in
+the parent's memory image and reaches children through the fork.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.sim import fork_pool_available
@@ -32,7 +36,7 @@ _ACTIVE_FN: Optional[Callable[[int], object]] = None
 
 
 def _invoke(index: int):
-    """Pool trampoline: the only object that crosses via pickling."""
+    """Executor trampoline: the only object that crosses via pickling."""
     return _ACTIVE_FN(index)
 
 
@@ -116,6 +120,11 @@ def fork_map(
     slice's digs).  It cannot conjure fork support: when the platform
     has none the calls still run in-process, so such callers must gate
     on :func:`repro.sim.fork_pool_available` themselves.
+
+    A worker process that dies mid-task raises :class:`RuntimeError`
+    naming the fan-out (``fn``'s qualified name and its shape) as soon
+    as the death is noticed; an exception raised *by* ``fn`` in a
+    worker propagates unchanged, as it would in-process.
     """
     if count <= 0:
         return []
@@ -125,10 +134,19 @@ def fork_map(
     workers = max(1, workers)
     global _ACTIVE_FN
     _ACTIVE_FN = fn
+    results: List[object] = []
     try:
         context = multiprocessing.get_context("fork")
-        with context.Pool(processes=workers) as pool:
-            results = pool.map(_invoke, range(count))
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            for result in pool.map(_invoke, range(count)):
+                results.append(result)
+    except BrokenProcessPool as exc:
+        name = getattr(fn, "__qualname__", repr(fn))
+        raise RuntimeError(
+            f"fork fan-out {name} ({count} tasks over {workers} "
+            f"workers): a worker process died before task "
+            f"{len(results)} returned"
+        ) from exc
     finally:
         _ACTIVE_FN = None
     if len(results) != count:

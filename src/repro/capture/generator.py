@@ -24,7 +24,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.capture.flow import FlowRecord, Trace
 from repro.dns.resolver import StubResolver
-from repro.flags import columnar_runtime_enabled
 from repro.net.ipv4 import IPv4Address
 from repro.net.prefixset import PrefixSet
 from repro.sampling import IndexedWeightedChooser, WeightedChooser
@@ -223,15 +222,21 @@ class CaptureGenerator:
     # -- generation -----------------------------------------------------------
 
     def generate(self, domains: Sequence[TrafficDomain]) -> Trace:
-        if columnar_runtime_enabled():
-            from repro.columnar.capture import generate_columnar
+        """The whole capture in time order, stored column-wise.
 
-            # Bit-identical draws and ordering; see
-            # repro.columnar.capture.
-            return generate_columnar(self, domains)
-        trace = Trace(self.iter_flows(domains))
-        trace.sort_by_time()
-        return trace
+        Every flow of :meth:`iter_flows` lands in a
+        :class:`~repro.columnar.tables.FlowTableBuilder`, whose stable
+        ``argsort`` on the timestamp column is the permutation
+        ``Trace.sort_by_time``'s stable list sort produces; the
+        returned :class:`~repro.columnar.tables.ColumnarTrace` keeps no
+        row objects until a consumer iterates it.
+        """
+        from repro.columnar.tables import ColumnarTrace, FlowTableBuilder
+
+        builder = FlowTableBuilder()
+        for flow in self.iter_flows(domains):
+            builder.add_flow(flow)
+        return ColumnarTrace(builder.build())
 
     def iter_flows(
         self, domains: Sequence[TrafficDomain]
@@ -242,8 +247,8 @@ class CaptureGenerator:
         order (per provider, HTTP(S) before background), not time
         order, and nothing is retained between yields — a one-pass
         consumer sees the whole capture in O(1) flow memory.  The
-        batch :meth:`generate` is exactly ``Trace(iter_flows(...))``
-        plus the stable time sort, so both paths consume the
+        batch :meth:`generate` is ``Trace(iter_flows(...))`` plus the
+        stable time sort, stored column-wise, so both consume the
         ``capture`` RNG stream identically.
         """
         for provider in ("ec2", "azure"):

@@ -35,7 +35,6 @@ bounded-error heavy-hitter summary, which is all Table 5 needs.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -49,6 +48,7 @@ from repro.capture.flow import FlowRecord, registrable_domain
 from repro.campaign.fanout import fork_map, partition
 from repro.obs import NOOP, Observability
 from repro.sampling import BottomKReservoir
+from repro.sim import fork_pool_available
 
 #: Heavy-hitter capacity: far above the distinct traffic domains at
 #: seed/mid tiers (sketch exact), bounded at paper tier.
@@ -453,11 +453,11 @@ def streaming_capture_summary(
     resolver = generator.resolver
 
     # The sharded path needs a *real* fork: each shard replays the
-    # whole RNG program from the forked snapshot, which an in-process
-    # fallback (fork_map with no os.fork) cannot do — the second shard
-    # would resume an already-consumed stream.
+    # whole RNG program from the forked snapshot, which fork_map's
+    # in-process fallback cannot do — the second shard would resume an
+    # already-consumed stream.
     can_shard = (
-        workers and workers > 1 and days > 1 and hasattr(os, "fork")
+        workers and workers > 1 and days > 1 and fork_pool_available()
     )
     with obs.tracer.span("capture-streaming", windows=days):
         if can_shard:

@@ -115,6 +115,16 @@ class FlowTableBuilder:
         self.ct_code.append(self._ct.code(content_type))
         self.tls_code.append(self._tls.code(tls_common_name))
 
+    def add_flow(self, flow: FlowRecord) -> None:
+        self.add(
+            flow.ts, flow.duration, flow.src, flow.dst.value, flow.proto,
+            flow.dport, flow.total_bytes,
+            http_host=flow.http_host,
+            content_type=flow.content_type,
+            content_length=flow.content_length,
+            tls_common_name=flow.tls_common_name,
+        )
+
     def build(self, sort_by_ts: bool = True) -> "FlowTable":
         table = FlowTable(
             **{

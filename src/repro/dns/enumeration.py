@@ -17,7 +17,6 @@ from repro.dns.infrastructure import DnsInfrastructure
 from repro.dns.records import RRType, normalize_name
 from repro.dns.resolver import StubResolver
 from repro.dns.zone import TransferRefused
-from repro.flags import columnar_runtime_enabled
 
 #: Labels from dnsmap's built-in wordlist plus knock's, trimmed to the
 #: entries that matter for web-service front ends.  The workload
@@ -100,56 +99,63 @@ class SubdomainEnumerator:
         observable effect beyond the query counters: ``exists`` is
         exactly "the candidate's zone has the name" (answers can only
         come from a zone that carries the name), nothing is cached
-        (TTL 0), and no dynamic-name rotation advances.  So candidates
-        are screened with that zone check and only hits pay for a full
-        ``dig`` — which preserves every side effect hits ever had.
+        (TTL 0), and no dynamic-name rotation advances.  So the whole
+        domain is screened at once — the labels that would pass that
+        zone check are a set intersection with the wordlist, and misses
+        never even compose their candidate string — and only hits pay
+        for a full ``dig``, which preserves every side effect hits ever
+        had.  A wordlist with duplicates would dig a hit more than once
+        (rotating its answers), so it takes the per-candidate loop
+        (:meth:`_brute_force_each`) instead.
+        """
+        domain = normalize_name(domain)
+        wordlist = self.wordlist
+        if len(set(wordlist)) != len(wordlist):
+            return self._brute_force_each(domain)
+        result = EnumerationResult(domain=domain)
+        resolver = self.resolver
+        infra = self.infra
+        present = self._present_labels(domain, infra.zone_for(domain))
+        hits = [word for word in wordlist if word in present]
+        index = infra.static_index
+        skipped = 0
+        for word in hits:
+            candidate = f"{word}.{domain}"
+            if index.is_static(candidate, RRType.A):
+                # A screening hit *is* ``exists`` (answers can only
+                # come from a zone carrying the name), and a static dig
+                # has no other observable effect: nothing rotates, the
+                # shard recorder is provably a no-op (a static chain
+                # cannot end on a shared dynamic name), and the TTL'd
+                # cache write is value-neutral — any later non-fresh
+                # dig re-resolves to the identical answer through the
+                # index memo at cache-hit cost.  So only the query
+                # counter advances.
+                skipped += 1
+                result.subdomains.append(candidate)
+                continue
+            response = resolver.dig(candidate, RRType.A)
+            if self.dig_observer is not None:
+                self.dig_observer(resolver, candidate, response)
+            if response.exists:
+                result.subdomains.append(candidate)
+        resolver.query_count += len(wordlist) - len(hits) + skipped
+        result.queries_issued = len(wordlist)
+        result.subdomains.sort()
+        return result
+
+    def _brute_force_each(self, domain: str) -> EnumerationResult:
+        """:meth:`brute_force` one candidate at a time, in wordlist order.
+
+        Each candidate passes the zone check on its own, so a label
+        listed twice is dug twice.  For a duplicate-free wordlist the
+        result, counters and side effects equal :meth:`brute_force`'s.
         """
         domain = normalize_name(domain)
         result = EnumerationResult(domain=domain)
         resolver = self.resolver
         infra = self.infra
         domain_zone = infra.zone_for(domain)
-        wordlist = self.wordlist
-        if columnar_runtime_enabled() and len(set(wordlist)) == len(
-            wordlist
-        ):
-            # Screen the whole domain at once: the labels that would
-            # pass the per-candidate zone check are a set intersection
-            # with the wordlist, so misses never even compose their
-            # candidate string.  A wordlist with duplicates would dig
-            # a hit more than once (rotating its answers), so only a
-            # duplicate-free list takes this path.
-            present = self._present_labels(domain, domain_zone)
-            hits = [word for word in wordlist if word in present]
-            index = infra.static_index
-            skipped = 0
-            for word in hits:
-                candidate = f"{word}.{domain}"
-                if index is not None and index.is_static(
-                    candidate, RRType.A
-                ):
-                    # A screening hit *is* ``exists`` (answers can only
-                    # come from a zone carrying the name), and a static
-                    # dig has no other observable effect: nothing
-                    # rotates, the shard recorder is provably a no-op
-                    # (a static chain cannot end on a shared dynamic
-                    # name), and the TTL'd cache write is value-neutral
-                    # — any later non-fresh dig re-resolves to the
-                    # identical answer through the index memo at
-                    # cache-hit cost.  So only the query counter
-                    # advances.
-                    skipped += 1
-                    result.subdomains.append(candidate)
-                    continue
-                response = resolver.dig(candidate, RRType.A)
-                if self.dig_observer is not None:
-                    self.dig_observer(resolver, candidate, response)
-                if response.exists:
-                    result.subdomains.append(candidate)
-            resolver.query_count += len(wordlist) - len(hits) + skipped
-            result.queries_issued = len(wordlist)
-            result.subdomains.sort()
-            return result
         for word in self.wordlist:
             # Wordlist labels and the normalized domain compose to an
             # already-normalized candidate one label below ``domain``.

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dns.records import RRType, ResourceRecord, normalize_name, parent_of
+from repro.dns.staticindex import StaticResolutionIndex
 from repro.dns.zone import Zone
-from repro.flags import columnar_runtime_enabled
 from repro.net.ipv4 import IPv4Address
 
 
@@ -47,13 +47,9 @@ class DnsInfrastructure:
         self.topology_version = 0
         self._children_index: Dict[str, Dict[str, Zone]] = {}
         self._children_version = -1
-        self.static_index = None
-        if columnar_runtime_enabled():
-            # Pure-Python accelerator (no NumPy requirement); see
-            # repro.dns.staticindex for the staticness proof.
-            from repro.dns.staticindex import StaticResolutionIndex
-
-            self.static_index = StaticResolutionIndex(self)
+        # Shared memo of provably static resolutions; see
+        # repro.dns.staticindex for the staticness proof.
+        self.static_index = StaticResolutionIndex(self)
 
     def _bump_topology(self) -> None:
         self.topology_version += 1

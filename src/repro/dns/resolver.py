@@ -104,16 +104,14 @@ class StubResolver:
 
     def _resolve(self, qname: str, rtype: RRType) -> DnsResponse:
         # Provably-static names share one resolution across all
-        # vantages via the infrastructure's index (when attached); the
-        # index declines dynamic-reaching names, which fall through to
-        # the real walk below in exact sequential order.
-        index = self.infra.static_index
-        if index is not None:
-            # qname is already normalized here, so peek directly; the
-            # copy hands the caller a privately owned response.
-            memo = index.peek(qname, rtype, self)
-            if memo is not None:
-                return _copy_response(memo)
+        # vantages via the infrastructure's index; the index declines
+        # dynamic-reaching names, which fall through to the real walk
+        # below in exact sequential order.  qname is already normalized
+        # here, so peek directly; the copy hands the caller a privately
+        # owned response.
+        memo = self.infra.static_index.peek(qname, rtype, self)
+        if memo is not None:
+            return _copy_response(memo)
         return self._resolve_uncached(qname, rtype)
 
     def _resolve_uncached(self, qname: str, rtype: RRType) -> DnsResponse:

@@ -28,8 +28,7 @@ in :meth:`DnsInfrastructure.add_zone`), which lazily invalidates both
 the closure and the memo.
 
 The index is pure Python (no NumPy) but is part of the columnar data
-plane's speed budget, so :class:`DnsInfrastructure` only attaches one
-when ``repro.flags.columnar_runtime_enabled()`` is true.
+plane's speed budget; every :class:`DnsInfrastructure` carries one.
 """
 
 from __future__ import annotations

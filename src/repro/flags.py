@@ -1,21 +1,17 @@
-"""Runtime feature switches shared across packages.
+"""Runtime knobs shared across packages.
 
 The columnar data plane (``repro.columnar`` plus the pure-Python static
-DNS resolution index) is a drop-in accelerator: every vectorized path
-reproduces the scalar RNG consumption order bit-for-bit, so the switch
-only trades speed for speed.  It lives here — a dependency-free module —
-so that numpy-free packages (``repro.dns``) can consult it without
-importing ``repro.columnar`` (which fails fast when NumPy is absent).
+DNS resolution index) and the streaming data plane (bounded-memory
+chunked world/dataset builds and one-pass capture analysis) are the
+only production paths, so neither has an on/off switch.  Where a stage
+still has a second path, its input or the platform selects it (a live
+event sink, an outage scenario, a wordlist with duplicates, no
+``fork``), never an option.
 
-Precedence: a programmatic override installed via
-:func:`set_columnar_enabled` wins; otherwise the ``REPRO_COLUMNAR``
-environment variable (anything but ``"0"`` enables); default on.
-
-The streaming data plane (bounded-memory chunked world/dataset builds
-and one-pass capture analysis) has no on/off switch: a caller who wants
-a batch build builds a non-deferred world.  Its one knob is the chunk
-size (:func:`set_chunk_size` / ``REPRO_CHUNK_SIZE``), bounding how many
-domain ranks a deferred world materializes at once.
+The one knob is the streaming chunk size (:func:`set_chunk_size` /
+``REPRO_CHUNK_SIZE``), bounding how many domain ranks a deferred world
+materializes at once; output bytes do not depend on it.  The module is
+dependency-free so NumPy-free packages (``repro.dns``) can import it.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-_FORCED: Optional[bool] = None
 _FORCED_CHUNK: Optional[int] = None
 
 #: Ranks materialized per streaming chunk when ``REPRO_CHUNK_SIZE`` is
@@ -33,25 +28,11 @@ _FORCED_CHUNK: Optional[int] = None
 DEFAULT_CHUNK_SIZE = 6_250
 
 
-def set_columnar_enabled(value: Optional[bool]) -> Optional[bool]:
-    """Force the columnar plane on/off (``None`` restores env control).
-
-    Returns the previous override so callers can restore it in a
-    ``finally`` block.  Affects objects *constructed after* the call
-    (worlds, generators); already-built objects keep the decision they
-    captured.
-    """
-    global _FORCED
-    previous = _FORCED
-    _FORCED = value
-    return previous
-
-
 def columnar_runtime_enabled() -> bool:
-    """Whether columnar fast paths should be used."""
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get("REPRO_COLUMNAR", "1") != "0"
+    """Always True: the columnar data plane has no off switch.  Kept
+    as a function because ``perfbench/common.py`` records it in every
+    benchmark result's setup."""
+    return True
 
 
 def streaming_runtime_enabled() -> bool:

@@ -5,6 +5,10 @@ every probe type, exact shared-stream bookkeeping, retry/timeout/loss
 policy semantics, drift detection, and scenario injection.
 """
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.analysis.wan import WanAnalysis, WanConfig
@@ -24,6 +28,7 @@ from repro.campaign import (
 )
 from repro.faults.scenarios import isp_outage, region_outage, zone_outage
 from repro.probing.traceroute import TracerouteTool
+from repro.sim import fork_pool_available
 from repro.world import World, WorldConfig
 
 
@@ -118,6 +123,32 @@ class TestFanout:
 
         assert fork_map(record, 4, 1) == [0, 1, 2, 3]
         assert calls == [0, 1, 2, 3]  # ran in-process
+
+    @pytest.mark.skipif(
+        not fork_pool_available(), reason="needs the fork start method"
+    )
+    def test_fork_map_dead_worker_fails_loudly(self):
+        # A child that dies without returning (as an OOM kill would)
+        # must fail the fan-out with a named error, not hang it.
+        def die_on_two(i):
+            if i == 2:
+                os._exit(1)
+            time.sleep(0.05)
+            return i
+
+        def on_alarm(signum, frame):
+            raise TimeoutError("fork_map hung on a dead worker")
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(20)
+        start = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="die_on_two"):
+                fork_map(die_on_two, 4, 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 10.0
 
 
 class TestEngineDeterminism:

@@ -1,50 +1,73 @@
-"""Scalar-vs-columnar equivalence for the capture generator.
+"""Columnar capture storage against the scalar flow list.
 
-Two identical worlds, one capture per mode; the flows must be equal
-record for record (including order), the "capture" stream must end in
-the same state, and the budget machinery (the shuffled Zipf tail) must
-hand out identical per-domain byte budgets.  Also covers the
-WordLedger replay of the generator's draw program, the analyzer
-aggregates, and the columnar trace's pickle round-trip.
+Two identical worlds: one generates the capture through
+``World.capture_trace()`` (the columnar ``FlowTableBuilder`` path), the
+other collects the same draw program as a plain ``Trace`` of
+``iter_flows()`` records with the stable time sort.  The flows must be
+equal record for record (including order), the "capture" stream and
+the DNS counters must end in the same state, and the budget machinery
+(the shuffled Zipf tail) must hand out identical per-domain byte
+budgets.  Also covers the analyzer aggregates, the columnar trace's
+pickle round-trip, and a word-stream replay of the generator's draw
+program (``tests/columnar/wordledger.py``).
 """
 
 import pickle
 import random
 
+import numpy  # noqa: F401  (a hard dependency: fail, never skip)
 import pytest
 
-np = pytest.importorskip("numpy")
+from repro.capture.flow import Trace
+from repro.columnar.tables import ColumnarTrace
+from repro.internet.vantage import CAMPUS_VANTAGE
+from repro.world import World, WorldConfig
+from tests.columnar.reference import NoIndex
+from tests.columnar.wordledger import WordLedger
 
-from repro.columnar.rng import WordLedger  # noqa: E402
-from repro.columnar.tables import ColumnarTrace  # noqa: E402
-from repro.flags import set_columnar_enabled  # noqa: E402
-from repro.world import World, WorldConfig  # noqa: E402
+
+def _world(seed):
+    return World(WorldConfig(
+        seed=seed,
+        num_domains=80,
+        num_dns_vantages=3,
+        num_probe_vantages=4,
+    ))
+
+
+def _dns_state(world):
+    return (
+        world.dns.dynamic_query_counts(),
+        world.resolver_for(CAMPUS_VANTAGE).query_count,
+    )
 
 
 def _trace(seed, columnar):
-    previous = set_columnar_enabled(columnar)
-    try:
-        world = World(WorldConfig(
-            seed=seed,
-            num_domains=80,
-            num_dns_vantages=3,
-            num_probe_vantages=4,
-        ))
+    """The capture of a fresh world and the ``capture`` stream state
+    after it.  ``columnar=False`` is the reference: the generator's draw
+    program collected into a plain row list, every target dig through
+    ``StubResolver._resolve_uncached``."""
+    world = _world(seed)
+    if columnar:
         trace = world.capture_trace()
-        state = world.streams.stream("capture").getstate()
-        return world, trace, state
-    finally:
-        set_columnar_enabled(previous)
+    else:
+        world.dns.static_index = NoIndex()
+        generator = world._capture_generator()
+        trace = Trace(generator.iter_flows(world.traffic_domains()))
+        trace.sort_by_time()
+    state = world.streams.stream("capture").getstate()
+    return world, trace, state
 
 
 @pytest.mark.parametrize("seed", [7, 23, 515])
 def test_capture_traces_bit_identical(seed):
-    _, scalar_trace, scalar_state = _trace(seed, False)
-    _, columnar_trace, columnar_state = _trace(seed, True)
+    world_s, scalar_trace, scalar_state = _trace(seed, False)
+    world_c, columnar_trace, columnar_state = _trace(seed, True)
     assert isinstance(columnar_trace, ColumnarTrace)
     assert len(scalar_trace) == len(columnar_trace)
     assert scalar_trace.total_bytes() == columnar_trace.total_bytes()
     assert scalar_state == columnar_state
+    assert _dns_state(world_s) == _dns_state(world_c)
     for a, b in zip(scalar_trace, columnar_trace):
         assert a == b  # frozen dataclass equality: every field
 
@@ -58,7 +81,6 @@ def _ranges(world):
 
 def _generator(world):
     from repro.capture.generator import CaptureGenerator
-    from repro.internet.vantage import CAMPUS_VANTAGE
 
     return CaptureGenerator(
         streams=world.streams,

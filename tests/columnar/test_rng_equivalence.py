@@ -8,20 +8,18 @@ programs, including the final generator state.
 import math
 import random
 
+import numpy  # noqa: F401  (a hard dependency: fail, never skip)
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.columnar.rng import (  # noqa: E402
-    WordLedger,
+from repro.columnar.rng import (
     advance_gauss_bulk,
     gauss_block,
     randstate_from,
     sync_py_rng,
-    uniform_block,
 )
-from repro.sampling import WeightedChooser  # noqa: E402
-from repro.sim import advance_gauss  # noqa: E402
+from repro.sampling import WeightedChooser
+from repro.sim import advance_gauss
+from tests.columnar.wordledger import WordLedger
 
 SEEDS = [0, 1, 7, 13, 97, 2013, 0xDEADBEEF]
 
@@ -53,8 +51,13 @@ def test_transplant_roundtrip_is_identity(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1000])
 def test_uniform_block_matches_scalar(seed, n):
+    # The identity every block transform stands on: a transplanted
+    # RandomState's random_sample(n) is n scalar random() calls, and
+    # syncing back leaves the scalar stream where those calls would.
     ref, probe = _pair(seed)
-    block = uniform_block(probe, n)
+    rs = randstate_from(probe)
+    block = rs.random_sample(n)
+    sync_py_rng(probe, rs, probe.gauss_next)
     assert block.tolist() == [ref.random() for _ in range(n)]
     _assert_state_equal(ref, probe)
 
@@ -78,9 +81,14 @@ def test_gauss_block_matches_scalar(seed, warmup, n):
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 512, 4097])
 def test_advance_gauss_bulk_matches_scalar_advance(seed, warmup, count):
     ref, probe = _pair(seed, warmup_gauss=warmup)
-    advance_gauss(ref, count)
+    for _ in range(count):
+        ref.gauss(0.0, 1.0)
     advance_gauss_bulk(probe, count)
     _assert_state_equal(ref, probe)
+    # sim.advance_gauss picks the bulk path by draw count: same state.
+    dispatched, _ = _pair(seed, warmup_gauss=warmup)
+    advance_gauss(dispatched, count)
+    _assert_state_equal(ref, dispatched)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -7,17 +7,16 @@ encode/decode round trip at both sizes.
 
 import pickle
 
+import numpy  # noqa: F401  (a hard dependency: fail, never skip)
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.capture.flow import FlowRecord  # noqa: E402
-from repro.columnar.tables import (  # noqa: E402
+from repro.capture.flow import FlowRecord
+from repro.columnar.tables import (
     ColumnarTrace,
     FlowTable,
     FlowTableBuilder,
 )
-from repro.net.ipv4 import IPv4Address  # noqa: E402
+from repro.net.ipv4 import IPv4Address
 
 
 def _add_row(builder, ts=1.5):

@@ -1,20 +1,18 @@
-"""Scalar-vs-columnar equivalence for the WAN matrices.
+"""Columnar WAN fill against the engine campaign.
 
-Builds two identical worlds, runs the campaign through the engine on
-one (columnar forced off) and through the batched fill on the other,
-and requires exact equality of the matrices, the shared stream states,
-and downstream figures.
+Builds two identical worlds, fills the matrices through the engine
+(``WanAnalysis._engine_measure``, the reference) on one and through
+the production batched fill on the other, and requires exact equality
+of the matrices, the shared stream states, and downstream figures.
 """
 
 import math
 
+import numpy  # noqa: F401  (a hard dependency: fail, never skip)
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.analysis.wan import WanAnalysis, WanConfig  # noqa: E402
-from repro.flags import set_columnar_enabled  # noqa: E402
-from repro.world import World, WorldConfig  # noqa: E402
+from repro.analysis.wan import WanAnalysis, WanConfig
+from repro.world import World, WorldConfig
 
 
 def _small_world(seed):
@@ -26,25 +24,22 @@ def _small_world(seed):
     ))
 
 
-def _matrices(seed, columnar, config=None):
-    previous = set_columnar_enabled(columnar)
-    try:
-        world = _small_world(seed)
-        analysis = WanAnalysis(
-            world, config or WanConfig(rounds=4)
-        )
+def _matrices(seed, engine, config=None):
+    world = _small_world(seed)
+    analysis = WanAnalysis(world, config or WanConfig(rounds=4))
+    if engine:
+        analysis._engine_measure()
+    else:
         analysis._measure()
-        jitter_state = world.latency._jitter_rng.getstate()
-        noise_state = world.throughput._noise_rng.getstate()
-        return (
-            analysis,
-            analysis._latency,
-            analysis._throughput,
-            jitter_state,
-            noise_state,
-        )
-    finally:
-        set_columnar_enabled(previous)
+    jitter_state = world.latency._jitter_rng.getstate()
+    noise_state = world.throughput._noise_rng.getstate()
+    return (
+        analysis,
+        analysis._latency,
+        analysis._throughput,
+        jitter_state,
+        noise_state,
+    )
 
 
 def _assert_tables_equal(a, b):
@@ -61,8 +56,8 @@ def _assert_tables_equal(a, b):
 
 @pytest.mark.parametrize("seed", [7, 21, 1999])
 def test_wan_matrices_bit_identical(seed):
-    _, lat_s, thr_s, js, ns = _matrices(seed, False)
-    _, lat_c, thr_c, jc, nc = _matrices(seed, True)
+    _, lat_s, thr_s, js, ns = _matrices(seed, engine=True)
+    _, lat_c, thr_c, jc, nc = _matrices(seed, engine=False)
     _assert_tables_equal(lat_s, lat_c)
     _assert_tables_equal(thr_s, thr_c)
     assert js == jc  # jitter stream left in the sequential position
@@ -70,21 +65,17 @@ def test_wan_matrices_bit_identical(seed):
 
 
 def test_wan_matrices_match_engine_workers():
-    _, lat_c, thr_c, _, _ = _matrices(7, True)
-    previous = set_columnar_enabled(False)
-    try:
-        world = _small_world(7)
-        analysis = WanAnalysis(world, WanConfig(rounds=4, workers=2))
-        analysis._measure()
-    finally:
-        set_columnar_enabled(previous)
+    _, lat_c, thr_c, _, _ = _matrices(7, engine=False)
+    analysis, *_ = _matrices(
+        7, engine=True, config=WanConfig(rounds=4, workers=2)
+    )
     _assert_tables_equal(analysis._latency, lat_c)
     _assert_tables_equal(analysis._throughput, thr_c)
 
 
 def test_wan_downstream_figures_identical():
-    scalar, *_ = _matrices(7, False)
-    columnar, *_ = _matrices(7, True)
+    scalar, *_ = _matrices(7, engine=True)
+    columnar, *_ = _matrices(7, engine=False)
     regions = scalar.regions[:3]
     assert scalar.per_client_region_averages(
         regions=regions, max_clients=4
@@ -100,17 +91,12 @@ def test_wan_downstream_figures_identical():
 def test_wan_scenario_falls_back_to_engine():
     from repro.faults.scenarios import OutageScenario
 
-    previous = set_columnar_enabled(True)
-    try:
-        world = _small_world(7)
-        analysis = WanAnalysis(
-            world,
-            WanConfig(rounds=2),
-            scenario=OutageScenario(
-                name="drill",
-                regions=frozenset({("ec2", "us-east-1")}),
-            ),
-        )
-        assert not analysis._columnar_measure()
-    finally:
-        set_columnar_enabled(previous)
+    analysis = WanAnalysis(
+        _small_world(7),
+        WanConfig(rounds=2),
+        scenario=OutageScenario(
+            name="drill",
+            regions=frozenset({("ec2", "us-east-1")}),
+        ),
+    )
+    assert not analysis._columnar_measure()

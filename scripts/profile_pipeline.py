@@ -359,8 +359,8 @@ def run_cached(
     digests.update(_wan_digests(wan))
     digests.update(_trace_digest(context.trace))
     # The traceroute sweep is not a cached product; on a warm run it
-    # is what materializes the world and drains the queued side-effect
-    # replays — exercising the pure-accelerator rule end to end.
+    # is what materializes the world and runs the queued restores —
+    # exercising the pure-accelerator rule end to end.
     digests.update(_isp_digest(wan.isp_diversity()))
     elapsed = time.perf_counter() - start
     return {

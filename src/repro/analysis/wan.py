@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.campaign.engine import CampaignEngine
 from repro.campaign.model import ProbeKind, ProbePolicy
 from repro.campaign.probes import TracerouteCampaign, WanMeasurementCampaign
@@ -26,7 +28,6 @@ from repro.faults.scenarios import OutageScenario
 from repro.internet.vantage import VantagePoint
 from repro.obs import NOOP, Observability
 from repro.probing.traceroute import TracerouteTool
-from repro.sim import advance_gauss
 from repro.world import World
 
 #: Account the measurement instances run under.
@@ -96,9 +97,13 @@ class WanAnalysis:
         self._instances: Optional[Dict[str, List[Instance]]] = None
         self._latency: Optional[Dict[Tuple[str, str], List[float]]] = None
         self._throughput: Optional[Dict[Tuple[str, str], List[float]]] = None
-        #: Called once with (latency, throughput) right after a campaign
-        #: fills the matrices; the artifact cache stores them from here.
-        self.on_measured: Optional[Callable] = None
+        #: Optimal k-region frontiers by metric (see
+        #: :meth:`optimal_k_regions`).
+        self._frontiers: Dict[str, List[dict]] = {}
+        #: When set, called once with the matrix fill the first time the
+        #: matrices are needed, in place of running it: the artifact
+        #: cache serves (and restores) or records the campaign here.
+        self.measure_hook: Optional[Callable] = None
 
     @property
     def world(self) -> World:
@@ -127,23 +132,7 @@ class WanAnalysis:
         no-op, so neither the fleet nor the world is ever built."""
         self._latency = dict(latency)
         self._throughput = dict(throughput)
-
-    def replay_side_effects(self) -> None:
-        """Reproduce the world mutations a real campaign would make.
-
-        Serving the matrices from the artifact cache skips
-        :meth:`_measure`, but the campaign's *world* side effects — the
-        launched measurement fleet and the jitter/noise stream draws —
-        are state later direct consumers of the world may depend on.
-        Launching the fleet and fast-forwarding the streams past the
-        campaign (the per-round draw counts are exact, see
-        :meth:`~repro.campaign.probes.WanMeasurementCampaign.stream_advances`)
-        restores that state at a fraction of the measurement cost.
-        """
-        campaign = self._campaign()
-        rounds = self.config.rounds
-        for stream, per_round in campaign.stream_advances(self.scenario):
-            advance_gauss(stream, rounds * per_round)
+        self._frontiers = {}
 
     # -- instance fleet ----------------------------------------------------
 
@@ -223,10 +212,14 @@ class WanAnalysis:
         """
         if self._latency is not None:
             return
+        if self.measure_hook is not None:
+            self.measure_hook(self._fill)
+        else:
+            self._fill()
+
+    def _fill(self) -> None:
         if not self._columnar_measure():
             self._engine_measure()
-        if self.on_measured is not None:
-            self.on_measured(self._latency, self._throughput)
 
     def _engine_measure(self) -> None:
         """Fill the matrices from a campaign run through the engine.
@@ -352,39 +345,49 @@ class WanAnalysis:
 
         For each k, enumerate all size-k region subsets, score each by
         the mean over clients and rounds of the per-round best region
-        in the subset, and keep the best subset.
+        in the subset, and keep the best subset (the first in
+        ``combinations`` order on a tie).  Computed once per metric;
+        each caller gets its own copy.
         """
+        if metric not in self._frontiers:
+            self._frontiers[metric] = self._frontier(metric)
+        return [dict(row) for row in self._frontiers[metric]]
+
+    def _frontier(self, metric: str) -> List[dict]:
         self._measure()
         table = self._latency if metric == "latency" else self._throughput
-        better = min if metric == "latency" else max
+        # Rows are (client, round) client-major, columns are regions.
+        matrix = np.array(
+            [
+                [table[(client.name, region)][round_index]
+                 for region in self.regions]
+                for client in self.clients
+                for round_index in range(self.config.rounds)
+            ],
+            dtype=np.float64,
+        ).reshape(-1, len(self.regions))
+        better = np.fmin if metric == "latency" else np.fmax
         frontier = []
         for k in range(1, len(self.regions) + 1):
             best_score: Optional[float] = None
             best_subset: Optional[Tuple[str, ...]] = None
-            for subset in combinations(self.regions, k):
-                total = 0.0
-                count = 0
-                for client in self.clients:
-                    for round_index in range(self.config.rounds):
-                        values = [
-                            table[(client.name, region)][round_index]
-                            for region in subset
-                        ]
-                        values = [v for v in values if v == v]
-                        if not values:
-                            continue
-                        total += better(values)
-                        count += 1
-                if count == 0:
+            for columns in combinations(range(len(self.regions)), k):
+                # fmin/fmax skip NaN; a row with no valid value stays
+                # NaN and drops out of the mean.
+                best = better.reduce(matrix[:, list(columns)], axis=1)
+                best = best[~np.isnan(best)]
+                if not len(best):
                     continue
-                score = total / count
+                # A sequential sum, so the rounding is the scalar
+                # loop's bit for bit (np.sum adds pairwise).
+                score = float(np.add.accumulate(best)[-1]) / len(best)
                 if best_score is None or (
                     score < best_score
                     if metric == "latency"
                     else score > best_score
                 ):
                     best_score = score
-                    best_subset = subset
+                    best_subset = tuple(self.regions[c] for c in columns)
             frontier.append({
                 "k": k,
                 "score": best_score,

@@ -33,7 +33,8 @@ class ArtifactStats:
     misses: int = 0
     stores: int = 0
     #: Files present but rejected (bad header, digest mismatch,
-    #: unpicklable payload); each also counts as a miss.
+    #: unpicklable payload, a world state that cannot be restored);
+    #: each also counts as a miss.
     invalid: int = 0
 
     def as_dict(self) -> dict:
@@ -112,6 +113,20 @@ class ArtifactStore:
         self._count("hits")
         log.info("artifact hit: %s/%s", kind, key[:12])
         return artifact
+
+    def reject(self, kind: str, key: str) -> None:
+        """Recount a served hit as an invalid miss: the artifact was
+        readable but could not be restored onto the live world."""
+        self.stats.hits -= 1
+        self.stats.invalid += 1
+        self.stats.misses += 1
+        if self.obs.metrics.enabled:
+            self.obs.metrics.counter(
+                "artifact_cache_hits_total", volatile=True
+            ).inc(-1)
+        self._count("invalid")
+        self._count("misses")
+        log.warning("artifact rejected (stale): %s/%s", kind, key[:12])
 
     def store(self, kind: str, key: str, artifact: object) -> Path:
         """Write one artifact atomically (write-then-rename)."""

@@ -77,6 +77,29 @@ class StubResolver:
         """Install entries exported from a shard worker's resolver."""
         self._cache.update(entries)
 
+    # -- artifact restores --------------------------------------------
+
+    def cache_state(self) -> list:
+        """The whole cache as ``(key, seconds left, response)`` triples
+        in insertion order.
+
+        Expiry is relative to the clock, so the state restores exactly
+        onto a world whose clock reads differently (a later epoch).
+        """
+        now = self.clock.now
+        return [
+            (key, entry.expires_at - now, entry.response)
+            for key, entry in self._cache.items()
+        ]
+
+    def set_cache_state(self, state: list) -> None:
+        """Replace the cache with a :meth:`cache_state` snapshot."""
+        now = self.clock.now
+        self._cache = {
+            key: _CacheEntry(response, now + remaining)
+            for key, remaining, response in state
+        }
+
     def dig(
         self, qname: str, rtype: RRType = RRType.A, fresh: bool = False
     ) -> DnsResponse:

@@ -295,7 +295,7 @@ def run_series(
         if out_root is not None:
             # Epoch 0 is the single-shot run and carries the TSV
             # release; later epochs skip it (exporting reads
-            # context.world, which would force side-effect replays on
+            # context.world, which would force artifact restores on
             # an otherwise fully warm epoch).
             manifest.write(
                 out_root, results=results,

@@ -1,34 +1,42 @@
-"""Shared, lazily built state for experiment runs.
+"""Shared state for experiment runs, each artifact resolved once.
 
 Building the world, the Alexa dataset, the capture, and the WAN
 campaign dominates runtime; experiments share one context so each
 expensive artifact is produced exactly once per configuration.
 
-With an :class:`~repro.artifacts.ArtifactStore` attached, the context
-first consults the content-addressed cache: dataset, capture trace, and
-WAN matrices are keyed on their configurations plus the code
-fingerprint, so a warm cache skips those builds entirely — including
-the world build, which only the cache misses need.
+With an :class:`~repro.artifacts.ArtifactStore` attached, each of the
+three artifacts — dataset, capture trace, WAN matrices — resolves in
+one step (:meth:`ExperimentContext._resolve`), keyed on its
+configuration plus the code fingerprint.  The build is the only miss
+path and the restore the only hit path:
 
-One ordering subtlety is load-bearing: the capture generator resolves
-traffic domains through live DNS, so the trace depends on the rotation
-counters and resolver caches the dataset build leaves behind.  When the
-trace must be rebuilt, the context therefore always runs the real
-dataset build against its world first — even if the dataset *product*
-was itself a cache hit — keeping every cached artifact identical to a
-cold sequential pipeline.
+* a **miss** builds the product against the world and stores it with
+  the world state the build left behind (a
+  :class:`~repro.artifacts.WorldDelta`: the streams it drew, the
+  rotation counters it advanced, the resolver caches and query counts
+  it changed, and the deterministic counters it bumped);
+* a **hit** serves the stored product, adds its counters to the run's
+  metrics at once, and *restores* its world state — never rebuilding.
 
-More generally, the cache must be a *pure accelerator* even for
-consumers that bypass the cached products and read world state
-directly (probing experiments, zone analyses): each build has world
-side effects — dataset: rotation counters and resolver caches;
-capture: the campus resolver digs and the generator's draws; WAN: the
-measurement fleet and the jitter/noise stream positions.  A cache hit
-therefore queues a *side-effect replay*; if (and only if) the world is
-later materialized, the queued replays run first, in the order the
-products were served, leaving the world exactly where a cold run's
-call sequence would.  A fully warm product-only run never materializes
-the world and pays for none of this.
+The cache must be a pure accelerator even for consumers that bypass the
+products and read the world directly (probing experiments, zone
+analyses).  A restore therefore waits for the world: when it
+materializes, pending restores run in serve order, each inside a
+``restore:<kind>`` stage span, and leave the world exactly where a cold
+run's builds would.  A product-only warm run never builds the world.
+
+Dependencies are explicit.  The capture generator resolves traffic
+domains through live DNS, so the trace depends on the rotation counters
+and resolver caches the dataset build leaves behind: the capture always
+resolves the dataset first, cached or not.  The WAN campaign is
+independent and resolves when its matrices are first needed, which is
+when a cold run measures them.
+
+Every artifact records a fingerprint of the state its build started
+from and one of its own payload.  A hit whose payload or live world
+does not match counts a miss, rebuilds against the live world and
+stores afresh; a rebuild that differs from the product already served
+raises, so a run never continues on a diverged world.
 """
 
 from __future__ import annotations
@@ -42,7 +50,13 @@ from repro.analysis.patterns import PatternAnalysis
 from repro.analysis.regions import RegionAnalysis
 from repro.analysis.traffic import TrafficAnalysis
 from repro.analysis.wan import WanAnalysis, WanConfig
-from repro.artifacts import ArtifactStore, artifact_key
+from repro.artifacts import (
+    ArtifactStore,
+    StateRecorder,
+    WorldDelta,
+    artifact_key,
+    canonical,
+)
 from repro.analysis.zones import ZoneAnalysis
 from repro.capture.flow import Trace
 from repro.cloud.ec2 import ec2_region_names
@@ -90,13 +104,10 @@ class ExperimentContext:
         if artifact_store is not None and not artifact_store.obs.enabled:
             artifact_store.obs = self.obs
         self._world: Optional[World] = None
-        self._dataset_builder: Optional[DatasetBuilder] = None
-        #: Side-effect replays queued by cache hits, run (in serve
-        #: order) the moment the world materializes — see the module
-        #: docstring's pure-accelerator rule.
-        self._replays: List[Callable[[], None]] = []
+        #: Cache hits waiting for the world: their restores run in
+        #: serve order the moment it materializes.
+        self._restores: List[Callable[[], None]] = []
         self._dataset: Optional[AlexaSubdomainsDataset] = None
-        self._dataset_built_in_world = False
         self._trace: Optional[Trace] = None
         self._clouduse: Optional[CloudUseAnalysis] = None
         self._patterns: Optional[PatternAnalysis] = None
@@ -148,86 +159,129 @@ class ExperimentContext:
                     self._world = self.epoch.build_world()
                 else:
                     self._world = World(self.world_config)
-            pending, self._replays = self._replays, []
-            for replay in pending:
-                replay()
+            pending, self._restores = self._restores, []
+            for restore in pending:
+                restore()
         return self._world
 
-    def _replay_or_defer(self, replay: Callable[[], None]) -> None:
-        """Run a cache hit's side-effect replay now if the world
-        already exists, else queue it for world materialization."""
-        if self._world is not None:
-            replay()
+    def _resolve(
+        self,
+        kind: str,
+        key: str,
+        build: Callable[[], object],
+        prepare: Optional[Callable[[], None]] = None,
+        adopt: Optional[Callable[[object], None]] = None,
+    ):
+        """Serve one artifact's product: build and store it on a miss,
+        restore the state its build left on a hit.
+
+        ``prepare()`` is world work that precedes the build and that a
+        restore redoes rather than records (the WAN fleet launch: its
+        allocations depend on what launched before).  ``adopt(product)``
+        hands a restored product to the world (the capture the world
+        keeps); it runs just before the delta applies.
+        """
+        if self.artifacts is None:
+            return build()
+        cached = self.artifacts.load(kind, key)
+        if cached is not None and not cached[1].sound():
+            self.artifacts.reject(kind, key)
+            cached = None
+        if cached is None:
+            product, delta = self._record(build, prepare)
+            self.artifacts.store(kind, key, (product, delta))
+            return product
+        product, delta = cached
+        self.obs.metrics.apply_counter_deltas(delta.counters)
+
+        def restore() -> None:
+            self._restore(kind, key, product, delta, build, prepare, adopt)
+
+        if self._world is None:
+            self._restores.append(restore)
         else:
-            self._replays.append(replay)
+            restore()
+        return product
 
-    def _replay_dataset_build(self) -> None:
-        if not self._dataset_built_in_world:
-            self._build_dataset()
+    def _record(
+        self,
+        build: Callable[[], object],
+        prepare: Optional[Callable[[], None]] = None,
+    ):
+        """Run ``build`` against the world; the product and its delta."""
+        world = self.world
+        if prepare is not None:
+            prepare()
+        recorder = StateRecorder(world, self.obs.metrics)
+        product = build()
+        return product, recorder.delta()
 
-    def _replay_capture(self) -> None:
-        # The capture's own side effects presuppose the dataset
-        # build's (the same ordering rule the miss path enforces).
-        self._replay_dataset_build()
-        self.world.capture_trace()
+    def _restore(
+        self,
+        kind: str,
+        key: str,
+        product: object,
+        delta: WorldDelta,
+        build: Callable[[], object],
+        prepare: Optional[Callable[[], None]],
+        adopt: Optional[Callable[[object], None]],
+    ) -> None:
+        world = self._world
+        with self.obs.tracer.span(f"restore:{kind}", category="stage"):
+            if prepare is not None:
+                prepare()
+            if delta.matches(world):
+                if adopt is not None:
+                    adopt(product)
+                delta.apply(world)
+                return
+        # The live world is not the one the artifact was built on:
+        # take back what the hit counted and rebuild here instead.
+        self.artifacts.reject(kind, key)
+        self.obs.metrics.apply_counter_deltas([
+            (name, labels, -amount, volatile)
+            for name, labels, amount, volatile in delta.counters
+        ])
+        rebuilt, fresh = self._record(build)
+        if not _same_product(product, rebuilt):
+            raise RuntimeError(
+                f"{kind} artifact {key[:12]}: the live world rebuilds a "
+                f"different {kind} than the one already served"
+            )
+        self.artifacts.store(kind, key, (rebuilt, fresh))
 
     def _build_dataset(self) -> AlexaSubdomainsDataset:
-        """Run the real §2.1 build against this context's world.
-
-        Needed even when the dataset product came from the cache: the
-        build's DNS side effects are part of the state the capture
-        generator consumes.
-        """
+        """Run the real §2.1 build against this context's world."""
         with self.obs.tracer.span("dataset", category="stage"):
             builder = DatasetBuilder(
                 self.world, scenario=self.scenario, obs=self.obs
             )
-            dataset = builder.build(workers=self.workers)
-        self._dataset_builder = builder
-        self._dataset_built_in_world = True
-        return dataset
+            return builder.build(workers=self.workers)
 
     @property
     def dataset(self) -> AlexaSubdomainsDataset:
         if self._dataset is None:
-            if self.artifacts is not None:
-                key = self._dataset_key()
-                cached = self.artifacts.load("dataset", key)
-                if cached is not None:
-                    self._dataset = cached
-                    self._replay_or_defer(self._replay_dataset_build)
-                    return self._dataset
-                self._dataset = self._build_dataset()
-                self.artifacts.store("dataset", key, self._dataset)
-            else:
-                self._dataset = self._build_dataset()
+            self._dataset = self._resolve(
+                "dataset", self._dataset_key(), self._build_dataset
+            )
         return self._dataset
+
+    def _build_capture(self) -> Trace:
+        with self.obs.tracer.span("capture", category="stage"):
+            return self.world.capture_trace()
 
     @property
     def trace(self) -> Trace:
         """The campus capture trace (cache-aware)."""
         if self._trace is None:
-            if self.artifacts is not None:
-                key = self._capture_key()
-                cached = self.artifacts.load("capture", key)
-                if cached is not None:
-                    self._trace = cached
-                    self._replay_or_defer(self._replay_capture)
-                    return self._trace
-                world = self.world  # drains any queued replays first
-                if not self._dataset_built_in_world:
-                    dataset = self._build_dataset()
-                    if self._dataset is None:
-                        self._dataset = dataset
-                self._trace = self._capture(world)
-                self.artifacts.store("capture", key, self._trace)
-            else:
-                self._trace = self._capture(self.world)
+            # The capture's build and restore presuppose the dataset's
+            # world state.
+            self.dataset
+            self._trace = self._resolve(
+                "capture", self._capture_key(), self._build_capture,
+                adopt=lambda trace: self.world.adopt_capture_trace(trace),
+            )
         return self._trace
-
-    def _capture(self, world: World) -> Trace:
-        with self.obs.tracer.span("capture", category="stage"):
-            return world.capture_trace()
 
     @property
     def wan(self) -> WanAnalysis:
@@ -244,17 +298,17 @@ class ExperimentContext:
             )
             if self.artifacts is not None:
                 key = self._wan_key()
-                cached = self.artifacts.load("wan", key)
-                if cached is not None:
-                    analysis.preload_measurements(*cached)
-                    self._replay_or_defer(analysis.replay_side_effects)
-                else:
-                    store = self.artifacts
 
-                    def save(latency, throughput, _key=key):
-                        store.store("wan", _key, (latency, throughput))
+                def measure(fill: Callable[[], None]) -> None:
+                    def build():
+                        fill()
+                        return analysis._latency, analysis._throughput
 
-                    analysis.on_measured = save
+                    analysis.preload_measurements(*self._resolve(
+                        "wan", key, build, prepare=analysis.instances,
+                    ))
+
+                analysis.measure_hook = measure
             self._wan = analysis
         return self._wan
 
@@ -324,3 +378,11 @@ class ExperimentContext:
         if self.artifacts is not None:
             telemetry["artifact_cache"] = self.artifacts.stats.as_dict()
         return telemetry
+
+
+def _same_product(served: object, rebuilt: object) -> bool:
+    """Whether a rebuild reproduced a product already served: traces
+    flow by flow, the rest by canonical encoding (NaN-safe)."""
+    if isinstance(served, Trace):
+        return list(served) == list(rebuilt)
+    return canonical(served) == canonical(rebuilt)

@@ -197,6 +197,9 @@ class NullMetrics:
     def take_counter_deltas(self, checkpoint) -> list:
         return []
 
+    def deterministic_counter_deltas(self, checkpoint) -> list:
+        return []
+
     def apply_counter_deltas(self, deltas) -> None:
         return None
 
@@ -316,6 +319,17 @@ class MetricsRegistry:
                 )
                 counter.value = base
         return deltas
+
+    def deterministic_counter_deltas(self, checkpoint):
+        """Every non-volatile counter increment since ``checkpoint``,
+        in :meth:`take_counter_deltas` form but left in place (an
+        artifact records what its build counted; the run keeps it)."""
+        return [
+            (key[0], key[1], counter.value - checkpoint.get(key, 0), False)
+            for key, counter in self._counters.items()
+            if key not in self._volatile
+            and counter.value != checkpoint.get(key, 0)
+        ]
 
     def apply_counter_deltas(self, deltas) -> None:
         for name, labels, delta, volatile in deltas:

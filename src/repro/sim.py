@@ -156,3 +156,18 @@ class StreamRegistry:
         if key not in self._issued:
             self._issued[key] = derive_rng(self.seed, *labels)
         return self._issued[key]
+
+    # -- artifact restores ---------------------------------------------
+
+    def getstate(self) -> dict:
+        """Every issued stream's generator state, by label path."""
+        return {key: rng.getstate() for key, rng in self._issued.items()}
+
+    def setstate(self, states: dict) -> None:
+        """Move streams to recorded states, issuing any not yet issued.
+
+        The generator objects stay the same, so every component holding
+        one (the latency model's jitter stream, say) sees the move.
+        """
+        for key, state in states.items():
+            self.stream(*key).setstate(state)

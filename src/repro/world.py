@@ -23,6 +23,7 @@ from repro.capture.generator import (
 )
 from repro.capture.flow import Trace
 from repro.cloud.azure import AzureCloud
+from repro.cloud.base import InstanceRole
 from repro.cloud.cdn import AzureCDN, CloudFront
 from repro.cloud.ec2 import EC2Cloud
 from repro.cloud.elb import ELBFleet
@@ -435,6 +436,10 @@ class World:
             self._resolvers[vantage.name] = resolver
         return resolver
 
+    def resolvers(self) -> List[StubResolver]:
+        """Every vantage resolver made so far, in creation order."""
+        return list(self._resolvers.values())
+
     # -- ground truth (validation only) ------------------------------------------
 
     def plan_for(self, domain: str) -> Optional[DomainPlan]:
@@ -465,6 +470,11 @@ class World:
             self._capture_trace = generator.generate(self.traffic_domains())
         return self._capture_trace
 
+    def adopt_capture_trace(self, trace: Trace) -> None:
+        """Take a capture generated from this world's state elsewhere
+        (an artifact-cache hit) as this world's capture."""
+        self._capture_trace = trace
+
     def capture_summary(self, workers: int = 0, obs=None):
         """Stream-analyze the capture without materializing a trace.
 
@@ -480,12 +490,17 @@ class World:
         )
 
     def _background_targets(self):
+        # Tenant instances only: the study's own probe fleets (the WAN
+        # campaign's, the cartography methods') postdate the capture,
+        # and leaving them out keeps the capture independent of which
+        # measurements ran before it.
         rng = self.streams.stream("capture", "background")
         targets = {}
         for provider_name, provider in self.providers.items():
             instances = [
                 inst for inst in provider.all_instances()
                 if inst.public_ip is not None
+                and inst.role is not InstanceRole.PROBE
             ]
             sample = rng.sample(instances, k=min(200, len(instances)))
             targets[provider_name] = [inst.public_ip for inst in sample]

@@ -7,6 +7,7 @@ corrupt on disk has to be rejected, deleted, and rebuilt.
 """
 
 import pickle
+import shutil
 
 import pytest
 
@@ -135,6 +136,35 @@ def _run_pipeline(context):
     )
 
 
+def _world_state(ctx, order):
+    """Touch the artifacts in ``order``, then read the world state the
+    builds (or restores) left: streams, rotation counters, resolvers,
+    the fleet, the kept capture, and the deterministic counters."""
+    for name in order:
+        if name == "wan":
+            ctx.wan.region_average("us-east-1")
+        else:
+            getattr(ctx, name)
+    world = ctx.world  # materializes; runs queued restores
+    streams = world.streams.getstate()
+    return (
+        world.latency._jitter_rng.getstate(),
+        world.throughput._noise_rng.getstate(),
+        {k: v for k, v in streams.items() if k[0] == "capture"},
+        sorted(world.dns.dynamic_query_counts().items()),
+        {
+            resolver.vantage.name: (
+                resolver.query_count, resolver.cache_state()
+            )
+            for resolver in world.resolvers()
+            if resolver.query_count or resolver.cache_state()
+        },
+        len(world.ec2.all_instances()),
+        len(world.capture_trace()),
+        ctx.obs.metrics.deterministic_snapshot(),
+    )
+
+
 class TestContextCaching:
     def test_warm_run_matches_cold_and_skips_every_build(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -178,27 +208,45 @@ class TestContextCaching:
 
     def test_cache_hits_replay_world_side_effects(self, tmp_path):
         # The builds mutate the world (WAN: fleet + stream draws;
-        # dataset: rotation counters + resolver caches).  A consumer
-        # that reads world state directly after cache hits must see
-        # exactly the state a cold run's call sequence leaves.
-        def world_state(ctx):
-            ctx.wan.region_average("us-east-1")
-            ctx.dataset
-            world = ctx.world  # materializes; drains queued replays
-            return (
-                world.latency._jitter_rng.getstate(),
-                world.throughput._noise_rng.getstate(),
-                sorted(world.dns.dynamic_query_counts().items()),
-                len(world.ec2.all_instances()),
+        # dataset: rotation counters + resolver caches; capture: the
+        # campus resolver and the capture streams) and count probes.
+        # A consumer that reads world state directly after cache hits
+        # must see exactly the state a cold run's call sequence leaves,
+        # whichever artifact it touches first.
+        orders = (
+            ("dataset", "trace", "wan"),
+            ("trace", "dataset", "wan"),
+            ("wan", "dataset", "trace"),
+        )
+        states = []
+        for index, order in enumerate(orders):
+            root = tmp_path / str(index)
+            cold = _world_state(
+                ExperimentContext(
+                    TINY, WAN, artifact_store=ArtifactStore(root)
+                ),
+                order,
             )
-
-        store = ArtifactStore(tmp_path)
-        cold = world_state(ExperimentContext(TINY, WAN, artifact_store=store))
-        warm_store = ArtifactStore(tmp_path)
-        warm_ctx = ExperimentContext(TINY, WAN, artifact_store=warm_store)
-        warm = world_state(warm_ctx)
-        assert warm_store.stats.hits >= 2 and warm_store.stats.misses == 0
-        assert warm == cold
+            warm_store = ArtifactStore(root)
+            warm_ctx = ExperimentContext(
+                TINY, WAN, artifact_store=warm_store
+            )
+            warm = _world_state(warm_ctx, order)
+            assert warm_store.stats.as_dict() == {
+                "hits": 3, "misses": 0, "stores": 0, "invalid": 0,
+            }, order
+            assert warm == cold, order
+            # Each restore ran inside its own stage span.
+            stages = warm_ctx.telemetry()["stages_s"]
+            assert {
+                "restore:dataset_s", "restore:capture_s", "restore:wan_s",
+            } <= set(stages)
+            assert "dataset_s" not in stages and "capture_s" not in stages
+            states.append(warm)
+        # The WAN campaign is independent of the DNS-side builds, so
+        # every access order ends in the same world.
+        assert states[1] == states[0]
+        assert states[2] == states[0]
 
     def test_config_change_misses(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -212,3 +260,134 @@ class TestContextCaching:
         other.dataset
         assert other_store.stats.hits == 0
         assert other_store.stats.misses == 1
+
+
+class TestCliColdWarm:
+    """Cold, first-warm and steady-warm CLI runs through one cache."""
+
+    # Capture first, then a dataset table, the WAN frontier, and a
+    # traceroute table that reads the restored world directly.
+    EXPERIMENTS = ("table01", "table03", "figure12", "table16")
+
+    def test_warm_runs_restore_and_write_the_cold_manifest(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.analysis.dataset import DatasetBuilder
+        from repro.capture.generator import CaptureGenerator
+        from repro.experiments import cli
+
+        calls = {"build": 0, "generate": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(DatasetBuilder, "build",
+                            counted("build", DatasetBuilder.build))
+        monkeypatch.setattr(CaptureGenerator, "generate",
+                            counted("generate", CaptureGenerator.generate))
+        manifests, cache_lines, builds = [], [], []
+        for index in range(3):
+            out_dir = tmp_path / f"run{index}"
+            calls.update(build=0, generate=0)
+            # table01 reads the capture first, so the capture resolves
+            # the dataset before any experiment asks for it.
+            code = cli.main([
+                "--domains", "800", "--wan-rounds", "6",
+                "--artifact-dir", str(tmp_path / "artifacts"),
+                "--out-dir", str(out_dir), "-q", *self.EXPERIMENTS,
+            ])
+            assert code == 0
+            output = capsys.readouterr().out
+            cache_lines.append(next(
+                line for line in output.splitlines()
+                if line.startswith("artifact cache")
+            ))
+            (manifest,) = out_dir.glob("*/manifest.json")
+            manifests.append(manifest.read_bytes())
+            builds.append(dict(calls))
+        assert cache_lines[0].endswith("0 hits, 3 misses, 3 stored")
+        assert cache_lines[1].endswith("3 hits, 0 misses, 0 stored")
+        assert cache_lines[2].endswith("3 hits, 0 misses, 0 stored")
+        assert manifests[1] == manifests[0]
+        assert manifests[2] == manifests[0]
+        assert builds[0] == {"build": 1, "generate": 1}
+        assert builds[1] == builds[2] == {"build": 0, "generate": 0}
+
+
+@pytest.fixture(scope="module")
+def cold_cache(tmp_path_factory):
+    """A cache filled by one cold run, and the world state it left."""
+    root = tmp_path_factory.mktemp("cold-cache")
+    state = _world_state(
+        ExperimentContext(TINY, WAN, artifact_store=ArtifactStore(root)),
+        ("dataset", "trace", "wan"),
+    )
+    return root, state
+
+
+def _tamper(root, kind, change):
+    """Rewrite one stored artifact (with a valid file digest) after
+    ``change(product, delta)`` edits it in place."""
+    store = ArtifactStore(root)
+    (path,) = (root / kind).glob("*.pkl")
+    product, delta = store.load(kind, path.stem)
+    change(product, delta)
+    store.store(kind, path.stem, (product, delta))
+
+
+def _stale(product, delta):
+    delta.pre = "0" * 64
+
+
+def _altered_payload(product, delta):
+    if delta.query_counts:
+        key = next(iter(delta.query_counts))
+        delta.query_counts[key] += 1
+    else:
+        key = next(iter(delta.streams))
+        delta.streams[key] = delta.streams[key][:2] + (0.5,)
+
+
+class TestTamperedArtifacts:
+    """A restore that cannot reproduce the build never yields a
+    diverged world: it counts a miss and rebuilds identically."""
+
+    @pytest.mark.parametrize("change", [_stale, _altered_payload],
+                             ids=["pre-state", "payload"])
+    def test_tampered_restore_rebuilds(self, tmp_path, cold_cache, change):
+        source, cold = cold_cache
+        shutil.copytree(source, tmp_path, dirs_exist_ok=True)
+        for kind in ("dataset", "capture", "wan"):
+            _tamper(tmp_path, kind, change)
+        store = ArtifactStore(tmp_path)
+        context = ExperimentContext(TINY, WAN, artifact_store=store)
+        assert _world_state(context, ("dataset", "trace", "wan")) == cold
+        assert store.stats.as_dict() == {
+            "hits": 0, "misses": 3, "stores": 3, "invalid": 3,
+        }
+        # The rebuilds stored sound artifacts again.
+        healed = ArtifactStore(tmp_path)
+        assert _world_state(
+            ExperimentContext(TINY, WAN, artifact_store=healed),
+            ("dataset", "trace", "wan"),
+        ) == cold
+        assert healed.stats.misses == 0
+
+    def test_rebuild_that_differs_from_the_served_product_raises(
+        self, tmp_path, cold_cache
+    ):
+        def stale_and_wrong(product, delta):
+            _stale(product, delta)
+            product.records.pop()
+
+        shutil.copytree(cold_cache[0], tmp_path, dirs_exist_ok=True)
+        _tamper(tmp_path, "dataset", stale_and_wrong)
+        context = ExperimentContext(
+            TINY, WAN, artifact_store=ArtifactStore(tmp_path)
+        )
+        context.dataset
+        with pytest.raises(RuntimeError, match="dataset artifact"):
+            context.world
